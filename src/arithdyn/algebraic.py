@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mpm
 
 from .errors import InvalidInputError, RepeatedRootError
 from .numutil import factorize
-from .polyforms import IntPoly, certified_roots_mp, cyclotomic, euler_phi
+from .polyforms import MP_PRECISION_LOCK, IntPoly, cyclotomic, euler_phi
 
 DEFAULT_TOL = 1e-12
 
@@ -86,9 +87,8 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
             "multiplicities are explicit")
     work = P
     root_tol = min(tol * 1e-2, 1e-13)
-    coeffs = [Fraction(c) for c in work.coeffs]
-    zz, radii = certified_roots_mp(coeffs, root_tol)
-    with mpm.workdps(40):
+    zz, radii = work.certified_roots(root_tol)
+    with MP_PRECISION_LOCK, mpm.workdps(40):
         lo = mpm.mpf(0)
         hi = mpm.mpf(0)
         for z, r in zip(zz, radii):
@@ -122,22 +122,14 @@ def local_height_breakdown(xi: AlgebraicNumber, tol=DEFAULT_TOL):
     return places
 
 
-def _phi_inverse_table(limit=100_000):
-    """m -> phi(m) inverted: value d maps to all m <= limit with phi(m) = d."""
-    table = {}
-    for m in range(1, limit + 1):
-        table.setdefault(euler_phi(m), []).append(m)
-    return table
-
-
-_PHI_INV = None
-
-
+@lru_cache(maxsize=None)
 def _phi_inverse(d):
-    global _PHI_INV
-    if _PHI_INV is None:
-        _PHI_INV = _phi_inverse_table()
-    return _PHI_INV.get(d, [])
+    """All m with phi(m) = d, ascending.
+
+    Complete because phi(m) >= sqrt(m/2) for every m, so phi(m) = d forces
+    m <= 2 d^2.
+    """
+    return tuple(m for m in range(1, 2 * d * d + 1) if euler_phi(m) == d)
 
 
 @dataclass(frozen=True)

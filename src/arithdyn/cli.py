@@ -2,10 +2,11 @@
 
 Every subcommand prints a JSON result on stdout (floats at 17 significant
 digits, each numeric output next to its certified error bound where one
-exists) and exits 0; domain errors print a JSON error object and exit 1;
-usage errors exit 2.  `--manifest PATH` additionally records the command,
-arguments, seed, versions and wall time.  Given the same `--seed`, CSV
-outputs are bit-identical across runs.
+exists) and exits 0; domain errors, exceeded resource caps and non-finite
+results print a JSON error object and exit 1; usage errors print the same
+JSON error object and exit 2.  `--manifest PATH` additionally records the
+command, arguments, seed, versions and wall time.  Given the same `--seed`,
+CSV outputs are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -79,7 +80,20 @@ def parse_poly(s):
 
 
 def parse_map(s):
-    return RationalMap.from_json(json.loads(s))
+    """'{"d": 2, "U": [...], "V": [...]}' -> RationalMap, every key checked."""
+    data = json.loads(s)
+    if not isinstance(data, dict) or any(k not in data for k in "dUV"):
+        raise InvalidInputError('a map is a JSON object with keys "d", "U", "V"')
+    if not _is_int(data["d"]) or not all(
+            isinstance(data[k], list) and all(_is_int(c) for c in data[k])
+            for k in "UV"):
+        raise InvalidInputError('"d" must be an integer, "U" and "V" integer '
+                                'lists')
+    return RationalMap.from_json(data)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _write_manifest(path, command, args_ns, t0, outputs):
@@ -101,8 +115,9 @@ def _write_manifest(path, command, args_ns, t0, outputs):
         fh.write("\n")
 
 
-def _emit(payload):
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+def _dumps(payload):
+    """One line of strict JSON; a NaN or infinite value raises ValueError."""
+    return json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +327,14 @@ def cmd_annulus(args):
 
 
 def _parse_torus_coords(s):
+    items = json.loads(s)
+    if not isinstance(items, list) or not all(
+            isinstance(item, dict) and ("rational" in item or "minpoly" in item)
+            for item in items):
+        raise InvalidInputError('coordinates are a JSON list of {"rational": '
+                                '...} or {"minpoly": [...]} objects')
     out = []
-    for item in json.loads(s):
+    for item in items:
         if "rational" in item:
             out.append(Fraction(item["rational"]))
         else:
@@ -350,8 +371,41 @@ def cmd_torus(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Usage errors end like every other error: a JSON object, here exit 2."""
+
+    def error(self, message):
+        print(_dumps({"error": "UsageError",
+                      "message": f"{self.prog}: {message}"}))
+        sys.exit(2)
+
+
+def _number(check, what):
+    def parse(s):
+        try:
+            x = float(s)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and check(x)):
+            raise argparse.ArgumentTypeError(f"{s!r} is not {what}")
+        return x
+    return parse
+
+
+finite_float = _number(lambda x: True, "a finite number")
+positive_float = _number(lambda x: x > 0, "a positive finite number")
+nonnegative_float = _number(lambda x: x >= 0, "a nonnegative finite number")
+
+
+def positive_int(s):
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
+    return n
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _JsonErrorParser(
         prog="arithdyn",
         description="heights and equidistribution statistics for arithmetic "
                     "dynamics on P^1")
@@ -370,24 +424,24 @@ def build_parser():
 
     p = add("enumerate", cmd_enumerate, help="points of bounded height (CSV)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--B", type=float, required=True,
+    p.add_argument("--B", type=nonnegative_float, required=True,
                    help="log-height bound (H <= e^B)")
     p.add_argument("--out")
 
     p = add("schanuel", cmd_schanuel, help="Schanuel count ratio")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--B", type=float, required=True,
+    p.add_argument("--B", type=positive_float, required=True,
                    help="exponential height bound")
 
     p = add("mahler", cmd_mahler, help="certified Mahler measure")
     p.add_argument("--poly", required=True,
                    help="integer coefficients, low degree first, comma "
                         "separated (use --poly=-1,2 for a leading minus)")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=positive_float, default=1e-12)
 
     p = add("algheight", cmd_algheight, help="height with place breakdown")
     p.add_argument("--poly", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=positive_float, default=1e-12)
 
     p = add("rou", cmd_rou, help="root-of-unity verdict with witness order")
     p.add_argument("--poly", required=True)
@@ -395,7 +449,7 @@ def build_parser():
     p = add("canheight", cmd_canheight, help="canonical height of a point")
     p.add_argument("--map", required=True, help='{"d":2,"U":[...],"V":[...]}')
     p.add_argument("--point", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=positive_float, default=1e-8)
     p.add_argument("--method", choices=("global", "local", "both"),
                    default="both")
 
@@ -408,33 +462,33 @@ def build_parser():
     p = add("julia-sample", cmd_julia_sample,
             help="filled-Julia membership on a grid (CSV)")
     p.add_argument("--map", required=True)
-    p.add_argument("--re0", type=float, default=-2.0)
-    p.add_argument("--re1", type=float, default=2.0)
-    p.add_argument("--im0", type=float, default=-2.0)
-    p.add_argument("--im1", type=float, default=2.0)
-    p.add_argument("--nx", type=int, default=41)
-    p.add_argument("--ny", type=int, default=41)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--re0", type=finite_float, default=-2.0)
+    p.add_argument("--re1", type=finite_float, default=2.0)
+    p.add_argument("--im0", type=finite_float, default=-2.0)
+    p.add_argument("--im1", type=finite_float, default=2.0)
+    p.add_argument("--nx", type=positive_int, default=41)
+    p.add_argument("--ny", type=positive_int, default=41)
+    p.add_argument("--tol", type=positive_float, default=1e-9)
     p.add_argument("--out")
 
     p = add("tdiam", cmd_tdiam, help="transfinite diameter via Fekete points")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=positive_float, default=1e-10)
 
     p = add("discrepancy", cmd_discrepancy,
             help="archimedean discrepancy; full identity for power maps")
     p.add_argument("--poly", required=True)
     p.add_argument("--map")
     p.add_argument("--power-d", type=int, dest="power_d")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=positive_float, default=1e-12)
 
     p = add("baker", cmd_baker, help="mean pairwise G statistic")
     p.add_argument("--map", required=True)
     p.add_argument("--points-file", dest="points_file")
     p.add_argument("--roots-of-unity", dest="roots_of_unity", type=int)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=positive_float, default=1e-10)
 
     p = add("bilu", cmd_bilu, help="monomial moments of an orbit family")
     p.add_argument("--family", required=True,
@@ -445,11 +499,11 @@ def build_parser():
     p = add("energy", cmd_energy, help="discrete energy of a point cloud")
     p.add_argument("--map", required=True)
     p.add_argument("--cloud", required=True, help='CSV of "re,im" rows')
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=positive_float, default=1e-10)
 
     p = add("annulus", cmd_annulus, help="annulus mass lemma check")
     p.add_argument("--poly", required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=positive_float, required=True)
 
     p = add("torus", cmd_torus, help="torus height subsuite")
     p.add_argument("torus_op", choices=("height", "push", "subadd"))
@@ -467,10 +521,11 @@ def main(argv=None):
     t0 = time.time()
     try:
         payload = args.func(args)
+        text = _dumps(payload)
     except (InvalidInputError, ValueError, OSError, RuntimeError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
+        print(_dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
-    _emit(payload)
+    print(text)
     if args.manifest:
         _write_manifest(args.manifest, args.command, args, t0, payload)
     return 0

@@ -32,8 +32,10 @@ import mpmath as mpm
 from .errors import (DegenerateMapError, InvalidInputError,
                      ResourceLimitError)
 from .numutil import factorize
-from .polyforms import BinaryForm, nullstellensatz_cofactors, resultant
-from .projective import ProjPointQ, count_points, enumerate_points
+from .polyforms import (MP_PRECISION_LOCK, BinaryForm, kept_on_instance,
+                        nullstellensatz_cofactors, resultant)
+from .projective import (ProjPointQ, _hmax_from_log_bound, count_points,
+                         enumerate_points)
 
 EXACT_PHASE_BITS = 4096          # switch from exact ints to intervals
 DIGIT_BUDGET = 10 ** 6           # decimal digits per coordinate, hard stop
@@ -42,7 +44,12 @@ PREPERIODIC_ENUM_CAP = 500_000   # points under the Northcott bound
 
 @dataclass(frozen=True)
 class RationalMap:
-    """Endomorphism of P^1 given by coprime integer forms of degree d >= 2."""
+    """Endomorphism of P^1 given by coprime integer forms of degree d >= 2.
+
+    The factorization of Res(U, V), the Nullstellensatz cofactors and the
+    constants derived from them are computed once and kept on the instance
+    (not fields, so equality, hashing and repr ignore them).
+    """
 
     U: BinaryForm
     V: BinaryForm
@@ -64,8 +71,9 @@ class RationalMap:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "res", r)
-        object.__setattr__(self, "bad_primes",
-                           tuple(sorted(factorize(r).keys())))
+        fact = tuple(sorted(factorize(r).items()))
+        object.__setattr__(self, "res_factors", fact)  # ((p, v_p(Res)), ...)
+        object.__setattr__(self, "bad_primes", tuple(p for p, _ in fact))
 
     @property
     def degree(self):
@@ -91,13 +99,16 @@ class RationalMap:
         iu, iv = unit_monomial_index(self.U), unit_monomial_index(self.V)
         return iu is not None and iv is not None and {iu, iv} == {0, self.degree}
 
+    @kept_on_instance
     def cofactors(self):
         return nullstellensatz_cofactors(self.U, self.V)
 
+    @kept_on_instance
     def max_cofactor_coeff(self):
         ax, bx, ay, by, _ = self.cofactors()
         return max(max(abs(c) for c in g.coeffs) for g in (ax, bx, ay, by))
 
+    @kept_on_instance
     def functoriality_constants(self):
         """(c_upper, c_lower) for d h(x) - c_lower <= h(f x) <= d h(x) + c_upper.
 
@@ -114,6 +125,7 @@ class RationalMap:
         c_lo = math.log(2 * self.degree * self.max_cofactor_coeff())
         return c_up, c_lo
 
+    @kept_on_instance
     def compacity_tail_constant(self):
         """C with |Lambda(x,y) - log max(|x|,|y|)| <= C on C^2 minus 0.
 
@@ -348,17 +360,18 @@ def escape_rate_exact_pair(f: RationalMap, a, b, tol):
         K += 1
     prec = 80
     for _ in range(10):
-        old = mpm.iv.prec
-        mpm.iv.prec = prec
-        try:
-            box = _escape_rate_interval(f, a, b, K)
-            err = _iv_radius(box)
-            if err <= tol:
-                return float(_iv_mid(box)), err
-        except _IntervalBlowup:
-            pass
-        finally:
-            mpm.iv.prec = old
+        with MP_PRECISION_LOCK:
+            old = mpm.iv.prec
+            mpm.iv.prec = prec
+            try:
+                box = _escape_rate_interval(f, a, b, K)
+                err = _iv_radius(box)
+                if err <= tol:
+                    return float(_iv_mid(box)), err
+            except _IntervalBlowup:
+                pass
+            finally:
+                mpm.iv.prec = old
         prec *= 2
     raise ResourceLimitError(prec, "escape-rate certification stalled")
 
@@ -449,18 +462,20 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8,
     trunc = c_max / (d ** n_star * (d - 1))
     prec = 120 + 2 * remaining
     for _ in range(8):
-        old = mpm.iv.prec
-        mpm.iv.prec = prec
-        try:
-            box = _reduced_orbit_log_height_interval(f, a, b, remaining, gcds)
-            err = _iv_radius(box) / d ** n_star
-            if err <= tol:
-                value = float(_iv_mid(box)) / d ** n_star
-                return GlobalHeightResult(value, trunc + err, n_star)
-        except _IntervalBlowup:
-            pass
-        finally:
-            mpm.iv.prec = old
+        with MP_PRECISION_LOCK:
+            old = mpm.iv.prec
+            mpm.iv.prec = prec
+            try:
+                box = _reduced_orbit_log_height_interval(f, a, b, remaining,
+                                                         gcds)
+                err = _iv_radius(box) / d ** n_star
+                if err <= tol:
+                    value = float(_iv_mid(box)) / d ** n_star
+                    return GlobalHeightResult(value, trunc + err, n_star)
+            except _IntervalBlowup:
+                pass
+            finally:
+                mpm.iv.prec = old
         prec *= 2
     return GlobalHeightResult(pts[-1].height() / d ** k,
                               c_max / (d ** k * (d - 1)), k,
@@ -513,9 +528,7 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
     fin_budget = tol / 2 / max(n_fin, 1)
     finite = {}
     fin_err = 0.0
-    res_fact = factorize(f.res)
-    for p in f.bad_primes:
-        R = res_fact[p]
+    for p, R in f.res_factors:
         target = fin_budget
         K = 1
         while R * math.log(p) / (d ** K * (d - 1)) > target and K < 400:
@@ -552,7 +565,7 @@ def preperiodic_points_rational(f: RationalMap, cap=PREPERIODIC_ENUM_CAP):
     bound) when the enumeration would be too large.
     """
     bound = northcott_bound(f)
-    hmax = int(math.floor(math.exp(bound) * (1 + 1e-12) + 1e-9))
+    hmax = _hmax_from_log_bound(bound)
     n_pts = count_points(1, max(hmax, 1))
     if n_pts > cap:
         raise ResourceLimitError(

@@ -460,6 +460,10 @@ def transfinite_diameter(field: EscapeRateField, n, restarts=32, seed=0,
     exchanges.  It lies on the Julia set, where the maximizers sit and
     where Lambda is not differentiable, so gradient polishing alone stalls
     short of them.
+
+    `delta_n` is the value of the returned `config`; `converged` is True
+    when that configuration is the end of an L-BFGS-B run that reported
+    success.
     """
     if n < 2:
         raise InvalidInputError("need n >= 2")
@@ -495,17 +499,18 @@ def transfinite_diameter(field: EscapeRateField, n, restarts=32, seed=0,
         p0 = np.concatenate([z0.real, z0.imag])
         res = minimize(_general_objective, p0, args=(n, field), jac=True,
                        method="L-BFGS-B", options=dict(maxiter=maxiter))
-        cand = -res.fun
+        # score res.x itself: after an ABNORMAL exit, res.fun may differ
+        polished = res.x[:n] + 1j * res.x[n:]
+        cand = _config_objective(field, polished)
         raw = _config_objective(field, z0)
         if raw > cand:  # keep the unpolished start if the polish regressed
-            cand = raw
-            cfg = list(np.asarray(z0))
+            cand, cfg, ok = raw, list(np.asarray(z0)), False
         else:
-            cfg = list(res.x[:n] + 1j * res.x[n:])
+            cfg, ok = list(polished), res.success
         if cand > best and np.isfinite(cand):
             best = cand
             best_cfg = cfg
-            converged = converged or res.success
+            converged = ok
     delta = math.exp(best / (n * (n - 1)))
     return TransfiniteDiameterResult(n, delta, formula, converged, best_cfg)
 

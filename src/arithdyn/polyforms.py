@@ -12,14 +12,37 @@ smaller than the requested tolerance.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import mpmath as mpm
 import numpy as np
 
 from .errors import DegenerateMapError, InvalidInputError, RepeatedRootError
+
+# mpmath keeps its working precision in process-global contexts; every block
+# of arithdyn that sets it holds this lock, so concurrent callers neither see
+# each other's precision nor leave a changed one behind.
+MP_PRECISION_LOCK = threading.RLock()
+
+
+def kept_on_instance(method):
+    """Make a no-argument method of an immutable value compute its result
+    once and keep it in the instance dict (not a dataclass field).  Two
+    threads may both compute it; either stores the same value."""
+    name = f"_kept_{method.__name__}"
+
+    @wraps(method)
+    def kept(self):
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = method(self)
+            object.__setattr__(self, name, value)
+            return value
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +62,9 @@ class IntPoly:
 
     Coefficients may be ints or Fractions; exact constructors normalize
     nothing beyond trimming trailing zeros, so `primitive()` must be called
-    where content-1 / positive-leading-coefficient form is required.
+    where content-1 / positive-leading-coefficient form is required.  The
+    squarefree test and the certified roots, once computed, are kept on the
+    instance (not fields).
     """
 
     coeffs: tuple
@@ -115,8 +140,14 @@ class IntPoly:
         return math.gcd(*(abs(int(c)) for c in self.coeffs))
 
     def primitive(self):
-        """Content-1 integer polynomial with positive leading coefficient."""
+        """Content-1 integer polynomial with positive leading coefficient.
+
+        Returns `self` when it already is one, so its kept roots carry over.
+        """
         if self.is_zero():
+            return self
+        if (all(type(c) is int for c in self.coeffs) and self.coeffs[-1] > 0
+                and math.gcd(*self.coeffs) == 1):
             return self
         c = self.content()
         cs = [Fraction(x) / c for x in self.coeffs]
@@ -163,6 +194,7 @@ class IntPoly:
         den = math.lcm(*(Fraction(c).denominator for c in a.coeffs))
         return IntPoly([int(Fraction(c) * den) for c in a.coeffs]).primitive()
 
+    @kept_on_instance
     def is_squarefree(self):
         if self.degree <= 0:
             return not self.is_zero()
@@ -173,6 +205,24 @@ class IntPoly:
         if g.degree == 0:
             return self.primitive()
         return self.exact_div(g).primitive()
+
+    def certified_roots(self, tol):
+        """(mpc values, float radii) of `certified_roots_mp`, kept on self.
+
+        A kept solve serves every request whose tolerance exceeds its
+        largest radius, the test `certified_roots_mp` applies before it
+        returns; a tighter request solves again and keeps the tighter
+        result.  Two threads may both solve; either result is valid.
+        """
+        kept = self.__dict__.get("_roots")
+        if kept is not None and max(kept[1], default=0.0) < tol:
+            return kept
+        zz, radii = certified_roots_mp([Fraction(c) for c in self.coeffs], tol)
+        solved = (tuple(zz), tuple(radii))
+        kept = self.__dict__.get("_roots")
+        if kept is None or max(radii, default=0.0) < max(kept[1], default=0.0):
+            object.__setattr__(self, "_roots", solved)
+        return solved
 
     def reversed(self):
         """X^d P(1/X); same Mahler measure as P."""
@@ -556,7 +606,7 @@ def certified_roots_mp(coeffs, tol):
     guesses = _initial_guesses(coeffs)
     dps = max(30, int(-math.log10(tol)) + 15)
     for _ in range(8):
-        with mpm.workdps(dps):
+        with MP_PRECISION_LOCK, mpm.workdps(dps):
             cs = _mpc_poly(monic)
             dcs = [k * cs[k] for k in range(1, d + 1)]
             zz = [mpm.mpc(w) for w in guesses]
@@ -624,8 +674,7 @@ def complex_roots(P, tol=1e-12):
     if not P.is_squarefree():
         raise RepeatedRootError(
             "polynomial has a repeated root; deflate by gcd(P, P') first")
-    coeffs = [Fraction(c) for c in P.coeffs]
-    zz, radii = certified_roots_mp(coeffs, tol)
+    zz, radii = P.certified_roots(tol)
     roots = [CertifiedRoot(complex(z), r + abs(complex(z)) * 1e-16 + 1e-300)
              for z, r in zip(zz, radii)]
     # conjugation closure sanity (real coefficients force it)

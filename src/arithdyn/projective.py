@@ -17,6 +17,7 @@ import mpmath as mpm
 from .errors import IndeterminacyError, InvalidInputError, ResourceLimitError
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
+COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entries
 
 
 def _normalize_coords(coords):
@@ -98,10 +99,14 @@ def count_points(k, Hmax):
     """Exact number of points of P^k(Q) with exponential height <= Hmax.
 
     Mobius count of coprime tuples in the box [-Hmax, Hmax]^(k+1), halved
-    for the sign identification.
+    for the sign identification.  Raises ResourceLimitError when Hmax
+    exceeds COUNT_CAP, before the sieve is allocated.
     """
     if Hmax < 1:
         return 0
+    if Hmax > COUNT_CAP:
+        raise ResourceLimitError(
+            Hmax, f"counting to H = {Hmax} exceeds the cap {COUNT_CAP}")
     mu = _mobius_sieve(Hmax)
     total = 0
     for g in range(1, Hmax + 1):
@@ -113,6 +118,9 @@ def count_points(k, Hmax):
 
 def _hmax_from_log_bound(B):
     # H <= e^B with an epsilon so integral boundaries are kept
+    if B > math.log(COUNT_CAP):  # beyond every cap, and math.exp may overflow
+        raise ResourceLimitError(
+            B, f"log-height bound {B} exceeds the cap log {COUNT_CAP}")
     return int(math.floor(math.exp(B) * (1 + 1e-12) + 1e-9))
 
 
@@ -161,8 +169,10 @@ def enumerate_points(k, B):
 
 def schanuel_ratio(k, B):
     """N(B) / (2^k B^(k+1) / zeta(k+1)) with B an *exponential* height bound."""
-    if B < 2:
+    if not B >= 2:
         raise InvalidInputError("need B >= 2")
+    if B > COUNT_CAP:
+        raise ResourceLimitError(B, f"B = {B} exceeds the cap {COUNT_CAP}")
     Hmax = int(B)
     n = count_points(k, Hmax)
     zeta = float(mpm.zeta(k + 1))  # well beyond 1e-12 accuracy

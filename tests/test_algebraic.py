@@ -238,3 +238,53 @@ class TestAlgebraicNumberInvariants:
     def test_normalizes_to_primitive(self):
         xi = AlgebraicNumber(IntPoly((-4, 0, 0, 2)))
         assert xi.minpoly.coeffs == (-2, 0, 0, 1)
+
+
+class TestRootsKeptOnThePolynomial:
+    """Certified roots are solved once per IntPoly and reused."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import arithdyn.polyforms as pf
+        calls = []
+        solve = pf.certified_roots_mp
+
+        def counting(coeffs, tol):
+            calls.append(tol)
+            return solve(coeffs, tol)
+
+        monkeypatch.setattr(pf, "certified_roots_mp", counting)
+        return calls
+
+    def test_one_solve_serves_every_consumer(self, solves):
+        from arithdyn.green import annulus_mass_bound
+        xi = AlgebraicNumber(IntPoly(LEHMER.coeffs))  # nothing kept yet
+        m = mahler_measure(xi.minpoly)
+        places = local_height_breakdown(xi)
+        verdict = is_root_of_unity(xi)
+        obs, bound = annulus_mass_bound(xi, 1.5)
+        assert len(solves) == 1
+        assert m.measure == LEHMER_MEASURE
+        assert sum(places.values()) == pytest.approx(m.log_measure / 10,
+                                                     abs=1e-12)
+        assert not verdict.is_root_of_unity
+        assert obs <= bound
+
+    def test_primitive_polynomial_is_its_own_primitive_part(self):
+        assert LEHMER.primitive() is LEHMER
+        assert IntPoly((-4, 0, 2)).primitive() == IntPoly((-2, 0, 1))
+        assert IntPoly((1, -1)).primitive() == IntPoly((-1, 1))
+
+    def test_tighter_request_solves_again(self, solves):
+        P = IntPoly((-1, -1, 0, 1))
+        _, loose = P.certified_roots(1e-10)
+        tol = max(loose) / 10
+        zz, radii = P.certified_roots(tol)
+        assert len(solves) == 2 and max(radii) < tol
+        # the tighter solve is kept and its error matches a fresh solve's
+        fresh_zz, fresh = IntPoly(P.coeffs).certified_roots(tol)
+        assert max(radii) <= max(fresh)
+        assert P.certified_roots(tol) == (zz, radii) and len(solves) == 3
+        assert mahler_measure(P, tol * 1e2).error_bound \
+            <= mahler_measure(IntPoly(P.coeffs), tol * 1e2).error_bound
+        assert len(solves) == 4

@@ -171,6 +171,69 @@ class TestErrorHandling:
         assert code == 1 and "error" in data
 
 
+class TestRejections:
+    """Malformed input ends in exit 1 or 2 with the JSON error object."""
+
+    @staticmethod
+    def rejected(args, capsys):
+        import jsonschema
+        from arithdyn.cli import load_schema
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out.strip().splitlines()
+
+        def refuse(token):
+            raise ValueError(f"non-JSON number {token}")
+
+        data = json.loads(out[-1], parse_constant=refuse)
+        jsonschema.validate(data, load_schema("error"))
+        return code, data
+
+    def test_zero_tolerance(self, capsys):
+        code, data = self.rejected(["canheight", "--map", Z2P1, "--point",
+                                    "0/1", "--tol", "0"], capsys)
+        assert code == 2 and "--tol" in data["message"]
+
+    def test_nan_radius(self, capsys):
+        code, data = self.rejected(["annulus", "--poly=-2,0,0,1", "--r", "nan"],
+                                   capsys)
+        assert code == 2 and "--r" in data["message"]
+
+    def test_argparse_error_is_json(self, capsys):
+        code, data = self.rejected(["mahler"], capsys)
+        assert code == 2 and data["error"] == "UsageError"
+
+    def test_map_without_v(self, capsys):
+        code, data = self.rejected(["canheight", "--map", '{"d":2,"U":[1,0,1]}',
+                                    "--point", "0/1"], capsys)
+        assert code == 1 and data["error"] == "InvalidInputError"
+
+    def test_negative_grid_size(self, capsys):
+        code, data = self.rejected(["julia-sample", "--map", Z2P1,
+                                    "--nx", "-5"], capsys)
+        assert code == 2 and "--nx" in data["message"]
+
+    def test_log_height_bound_beyond_cap(self, capsys):
+        code, data = self.rejected(["enumerate", "--k", "1", "--B", "1000"],
+                                   capsys)
+        assert code == 1 and data["error"] == "ResourceLimitError"
+
+    def test_count_beyond_cap_allocates_nothing(self, capsys):
+        code, data = self.rejected(["schanuel", "--k", "1", "--B", "1e9"],
+                                   capsys)
+        assert code == 1 and data["error"] == "ResourceLimitError"
+
+    def test_non_finite_result_is_not_printed(self, tmp_path, capsys):
+        # a repeated point makes the mean pairing +inf, which is not JSON
+        cloud = tmp_path / "dup.csv"
+        cloud.write_text("re,im\n0.5,0\n0.5,0\n-1,0\n")
+        code, data = self.rejected(["baker", "--map", POWER2,
+                                    "--points-file", str(cloud)], capsys)
+        assert code == 1 and data["error"] == "ValueError"
+
+
 class TestSchemas:
     """stdout payloads validate against the shipped JSON schemas."""
 

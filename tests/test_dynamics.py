@@ -361,3 +361,94 @@ class TestCommuting:
     def test_non_commuting_rejected(self):
         with pytest.raises(InvalidInputError):
             commuting_height_agreement(Z2P1, CHEB3)
+
+
+class TestConstantsKeptOnTheMap:
+    def test_one_cofactor_solve_per_map(self, monkeypatch):
+        import arithdyn.dynamics as dyn
+        calls = []
+        solve = dyn.nullstellensatz_cofactors
+
+        def counting(U, V):
+            calls.append((U, V))
+            return solve(U, V)
+
+        monkeypatch.setattr(dyn, "nullstellensatz_cofactors", counting)
+        f = make_map((1, 0, 1), (0, 0, 1))
+        x = ProjPointQ((1, 2))
+        for tol in (1e-6, 1e-12):
+            g = canonical_height_global(f, x, tol)
+            loc = canonical_height_local(f, x, tol)
+            assert abs(g.value - loc.total) <= g.error + loc.total_error
+        northcott_bound(f)
+        assert len(calls) == 1
+        # the kept values are not fields: equality, hash and repr ignore them
+        assert f == make_map((1, 0, 1), (0, 0, 1))
+        assert hash(f) == hash(make_map((1, 0, 1), (0, 0, 1)))
+        assert "cofactor" not in repr(f)
+
+    def test_res_factorization_matches_bad_primes(self):
+        f = make_map((3, 0, 5), (0, 2, 0))
+        assert tuple(p for p, _ in f.res_factors) == f.bad_primes
+        prod = 1
+        for p, e in f.res_factors:
+            prod *= p ** e
+        assert prod == abs(f.res)
+
+
+class TestSharedObjectsAcrossThreads:
+    """Threads sharing one AlgebraicNumber and one RationalMap (whose kept
+    roots and constants they fill concurrently) get the serial results."""
+
+    @staticmethod
+    def work(xi, f):
+        from arithdyn.algebraic import (is_root_of_unity,
+                                        local_height_breakdown, mahler_measure)
+        from arithdyn.green import EscapeRateField, annulus_mass_bound
+        out = [mahler_measure(xi.minpoly), local_height_breakdown(xi),
+               is_root_of_unity(xi), annulus_mass_bound(xi, 1.5),
+               EscapeRateField(f).tail_constant]
+        for pt in ((0, 1), (1, 2), (3, -7)):
+            for tol in (1e-6, 1e-12):
+                out.append(canonical_height_global(f, ProjPointQ(pt), tol))
+                out.append(canonical_height_local(f, ProjPointQ(pt), tol)
+                           .to_json())
+        return repr(out)
+
+    def test_bit_equal_to_serial(self):
+        import sys
+        import threading
+
+        import mpmath as mpm
+
+        from arithdyn.algebraic import AlgebraicNumber
+        from arithdyn.polyforms import IntPoly
+
+        def fresh():
+            return (AlgebraicNumber(IntPoly((-1, -1, 0, 0, 0, 0, 0, 1))),
+                    make_map((2, -3, 1), (1, 0, 5)))
+
+        serial = self.work(*fresh())
+        xi, f = fresh()
+        start = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def run(i):
+            start.wait()
+            results[i] = self.work(xi, f)
+
+        dps, ivprec = mpm.mp.dps, mpm.iv.prec
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # switch threads often
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * 4
+        assert (mpm.mp.dps, mpm.iv.prec) == (dps, ivprec)

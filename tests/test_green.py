@@ -29,6 +29,7 @@ def make_map(u, v):
 POWER2 = make_map((1, 0, 0), (0, 0, 1))
 POWER3 = make_map((1, 0, 0, 0), (0, 0, 0, 1))
 Z2P1 = make_map((1, 0, 1), (0, 0, 1))
+ZM1Z = make_map((1, 0, -1), (0, 1, 0))           # z - 1/z
 
 
 def oracle_lambda_z2p1(x, y, K=40):
@@ -39,6 +40,15 @@ def oracle_lambda_z2p1(x, y, K=40):
         X, Y = mpm.mpc(x), mpm.mpc(y)
         for _ in range(K):
             X, Y = X * X + Y * Y, Y * Y
+        return float(mpm.log(max(abs(X), abs(Y))) / mpm.mpf(2) ** K)
+
+
+def oracle_lambda_zm1z(z, K=40):
+    """The same raw iteration for z - 1/z, (X, Y) -> (X^2 - Y^2, XY)."""
+    with mpm.workdps(60):
+        X, Y = mpm.mpc(z), mpm.mpc(1)
+        for _ in range(K):
+            X, Y = X * X - Y * Y, X * Y
         return float(mpm.log(max(abs(X), abs(Y))) / mpm.mpf(2) ** K)
 
 
@@ -279,6 +289,45 @@ class TestTransfiniteDiameter:
         res = transfinite_diameter(EscapeRateField(Z2P1, tol=1e-10), n,
                                    restarts=4, seed=0)
         assert res.delta_n >= ref - 1e-3
+
+    def test_reports_the_value_of_its_configuration(self):
+        # z - 1/z: this polish ends ABNORMAL, where scipy's res.fun is not
+        # the objective at res.x; delta_12 must be the value of `config`
+        n = 12
+        res = transfinite_diameter(EscapeRateField(ZM1Z, tol=1e-10), n,
+                                   restarts=2, seed=775654026)
+        z = res.config
+        phi = sum(2 * math.log(abs(z[i] - z[j]))
+                  for i in range(n) for j in range(i + 1, n))
+        phi -= 2 * (n - 1) * sum(oracle_lambda_zm1z(w) for w in z)
+        assert res.delta_n == pytest.approx(math.exp(phi / (n * (n - 1))),
+                                            rel=1e-8)
+
+    def test_converged_describes_the_reported_configuration(self, monkeypatch):
+        import arithdyn.green as green
+        runs = []
+
+        def recording(fun, x0, **kwargs):
+            res = minimize(fun, x0, **kwargs)
+            runs.append((np.array(x0), res))
+            return res
+
+        minimize = green.minimize
+        monkeypatch.setattr(green, "minimize", recording)
+        n = 20
+        res = transfinite_diameter(EscapeRateField(Z2P1, tol=1e-10), n,
+                                   restarts=4, seed=7)
+        cfg = np.array(res.config)
+        polished = [r for _, r in runs
+                    if np.array_equal(r.x[:n] + 1j * r.x[n:], cfg)]
+        starts = [r for x0, r in runs
+                  if np.array_equal(x0[:n] + 1j * x0[n:], cfg)]
+        assert polished or starts
+        assert res.converged == any(r.success for r in polished)
+        # here the best configuration is a start whose polish ended ABNORMAL
+        # without moving it
+        assert not any(r.success for r in polished + starts)
+        assert res.converged is False
 
 
 class TestEnergy:
