@@ -31,7 +31,7 @@ from .green import (EmpiricalMeasure, EscapeRateField, annulus_mass_bound,
                     discrete_energy, filled_julia_membership,
                     height_discrepancy_check, transfinite_diameter)
 from .polyforms import IntPoly
-from .projective import ProjPointQ, enumerate_points, height, schanuel_ratio
+from .projective import ProjPointQ, enumerate_points, schanuel_ratio
 from .torus import TorusPoint, monomial_pushforward, subadditivity_check, torus_height
 
 

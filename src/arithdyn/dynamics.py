@@ -83,10 +83,6 @@ class RationalMap:
         a, b = x.coords
         return ProjPointQ((self.U(a, b), self.V(a, b)))
 
-    def apply_z(self, z):
-        """Complex one-step action in the affine chart z = X/Y."""
-        return self.U(z, 1) / self.V(z, 1)
-
     def is_unit_power_pair(self):
         """True for [±X^d : ±Y^d] and the coordinate-swapped variant."""
 
@@ -260,7 +256,8 @@ def padic_gcd_valuations(f: RationalMap, x: ProjPointQ, p, K):
         A = f.U(a, b) % mod
         B = f.V(a, b) % mod
         v = min(val_capped(A, R + 1), val_capped(B, R + 1))
-        assert v <= R, "gcd valuation must divide the resultant"
+        if v > R:
+            raise RuntimeError("gcd valuation must divide the resultant")
         vals.append(v)
         if v:
             m -= v
@@ -292,8 +289,10 @@ class _IntervalBlowup(Exception):
 
 
 def _iv_max_abs(a, b):
+    """max(|a|, |b|) from the interval endpoints themselves, so the
+    enclosure holds at any global mp precision."""
     aa, bb = abs(a), abs(b)
-    return mpm.iv.mpf([mpm.mpf(max(aa.a, bb.a)), mpm.mpf(max(aa.b, bb.b))])
+    return mpm.iv.mpf([max(aa.a, bb.a), max(aa.b, bb.b)])
 
 
 def _iv_eval_form(form: BinaryForm, x, y):
@@ -311,7 +310,9 @@ def _iv_eval_form(form: BinaryForm, x, y):
 
 
 def _iv_mid(x):
-    return mpm.mpf(float(x.mid.a))
+    # a float, not an mpf: it enters interval arithmetic exactly, where an
+    # mpf would be rounded to the caller's global mp precision
+    return float(x.mid.a)
 
 
 def _iv_radius(x):
@@ -367,7 +368,7 @@ def escape_rate_exact_pair(f: RationalMap, a, b, tol):
                 box = _escape_rate_interval(f, a, b, K)
                 err = _iv_radius(box)
                 if err <= tol:
-                    return float(_iv_mid(box)), err
+                    return _iv_mid(box), err
             except _IntervalBlowup:
                 pass
             finally:
@@ -470,7 +471,7 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8,
                                                          gcds)
                 err = _iv_radius(box) / d ** n_star
                 if err <= tol:
-                    value = float(_iv_mid(box)) / d ** n_star
+                    value = _iv_mid(box) / d ** n_star
                     return GlobalHeightResult(value, trunc + err, n_star)
             except _IntervalBlowup:
                 pass
@@ -493,10 +494,6 @@ class LocalHeightLedger:
     archimedean: tuple            # (value, error)
     total: float
     total_error: float
-
-    def finite_value(self, p):
-        coeff, _ = self.finite_places[p]
-        return float(coeff) * math.log(p)
 
     def to_json(self):
         fin = {str(p): {"coeff_of_log_p": f"{c.numerator}/{c.denominator}",
@@ -585,10 +582,6 @@ class CommutingReport:
     max_gap: float
     tol: float
     per_point: list               # (point, h_f, h_g)
-
-    @property
-    def agrees(self):
-        return self.max_gap <= self.tol
 
 
 def commuting_height_agreement(f: RationalMap, g: RationalMap, samples=None,

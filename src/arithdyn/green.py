@@ -56,24 +56,10 @@ class EscapeRateField:
     def __post_init__(self):
         self.degree = self.map.degree
         self.tail_constant = self.map.compacity_tail_constant()
-        # two-sided compacity constants: c_lower^-1 max^d <= max(|U|,|V|)
-        # <= c_upper max^d
-        if self._is_exact_power():
-            self.c_upper = 1.0
-            self.c_lower = 1.0
-        else:
-            self.c_upper = float(max(sum(abs(c) for c in self.map.U.coeffs),
-                                     sum(abs(c) for c in self.map.V.coeffs)))
-            self.c_lower = float(Fraction(
-                2 * self.degree * self.map.max_cofactor_coeff(),
-                abs(self.map.res)))
         self._ucoef = np.array([complex(c) for c in self.map.U.coeffs])
         self._vcoef = np.array([complex(c) for c in self.map.V.coeffs])
-        self._exact_power = self._is_exact_power()
+        self._exact_power = self.map.is_unit_power_pair()
         self.depth = self._depth_for(self.tol)
-
-    def _is_exact_power(self):
-        return self.map.is_unit_power_pair()
 
     def _depth_for(self, tol):
         if self._exact_power:

@@ -72,14 +72,3 @@ def factorize(n):
         stack.extend([d, m // d])
     return out
 
-
-def primes_up_to(n):
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:n + 1:p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]

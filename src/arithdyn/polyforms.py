@@ -2,11 +2,12 @@
 
 Univariate polynomials are dense coefficient tuples, low degree first, over
 Python ints or Fractions.  Binary forms of degree d store the coefficient of
-X^(d-i) Y^i at index i.  Resultants are Sylvester-map determinants computed
-by fraction-free (Bareiss) elimination, so every resultant and cofactor is
-exact.  The root finder runs Aberth-Ehrlich in mpmath, doubling precision
-until a posteriori Weierstrass inclusion disks are pairwise disjoint and
-smaller than the requested tolerance.
+X^(d-i) Y^i at index i.  Resultants are Sylvester-map determinants and the
+Nullstellensatz cofactors adjugate columns of the same matrix, both from one
+fraction-free (Bareiss) elimination, so every resultant and cofactor is an
+exact integer.  The root finder runs Aberth-Ehrlich in mpmath, doubling
+precision until a posteriori Weierstrass inclusion disks are pairwise
+disjoint and smaller than the requested tolerance.
 """
 
 from __future__ import annotations
@@ -120,12 +121,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def derivative(self):
         return IntPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
@@ -151,7 +146,8 @@ class IntPoly:
             return self
         c = self.content()
         cs = [Fraction(x) / c for x in self.coeffs]
-        assert all(f.denominator == 1 for f in cs)
+        if any(f.denominator != 1 for f in cs):
+            raise RuntimeError("content does not divide every coefficient")
         cs = [int(f) for f in cs]
         if cs[-1] < 0:
             cs = [-x for x in cs]
@@ -231,13 +227,6 @@ class IntPoly:
     def naive_height(self):
         return max(abs(c) for c in self.coeffs)
 
-    def to_json(self):
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([int(s) for s in data])
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -250,14 +239,6 @@ class IntPoly:
             cs = "" if (abs(c) == 1 and k > 0) else str(abs(c))
             parts.append(("-" if c < 0 else ("+" if parts else "")) + cs + mono)
         return " ".join(parts)
-
-
-def poly_from_roots(roots):
-    """prod (X - r) with exact coefficients."""
-    p = IntPoly((1,))
-    for r in roots:
-        p = p * IntPoly((-r, 1))
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +303,6 @@ class BinaryForm:
         """U(t, 1) as IntPoly (variable t = X/Y), low degree first."""
         return IntPoly(tuple(reversed(self.coeffs)))
 
-    def to_json(self):
-        return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(int(data["degree"]), [int(s) for s in data["coeffs"]])
-
 
 def _form_mul(a, b):
     d = a.degree + b.degree
@@ -351,41 +325,42 @@ def _form_scale(a, c):
     return BinaryForm(a.degree, tuple(c * x for x in a.coeffs))
 
 
-def form_from_poly(poly, degree):
-    """Homogenize an IntPoly in t = X/Y to a BinaryForm of the given degree."""
-    if poly.degree > degree:
-        raise InvalidInputError("degree too small to homogenize")
-    cs = [0] * (degree + 1)
-    for k, c in enumerate(poly.coeffs):
-        cs[degree - k] = c  # t^k -> X^k Y^(degree-k), index = degree-k
-    return BinaryForm(degree, cs)
-
-
 # ---------------------------------------------------------------------------
 # determinants, resultants, cofactors
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(rows):
-    """Fraction-free determinant of a square integer matrix."""
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination of an n x (n+e) integer matrix.
+
+    Returns (det, cols): det is the determinant of the square part M and,
+    when it is nonzero, cols[j] = adj(M) times extra column j (None when it
+    is zero).  Every division is exact: after step k each entry is a
+    (k+1) x (k+1) minor.  With no extra columns only the rows below the
+    pivot are cleared, which is plain Bareiss.
+    """
     m = [list(r) for r in rows]
-    n = len(m)
+    n, width = len(m), len(m[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if piv is None:
+                return 0, None
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pk, rk = m[k][k], m[k]
+        for i in (range(n) if width > n else range(k + 1, n)):
+            if i == k:
+                continue
+            ri, f = m[i], m[i][k]
+            for j in range(k + 1, width):
+                ri[j] = (ri[j] * pk - f * rk[j]) // prev
+        prev = pk
+    # the square part is now prev * I and the extra columns are
+    # prev * M^-1 b, where prev = sign * det(M)
+    return sign * prev, [[sign * m[i][j] for i in range(n)]
+                         for j in range(n, width)]
 
 
 def _sylvester_map_matrix(U, V):
@@ -404,55 +379,34 @@ def _sylvester_map_matrix(U, V):
     return mat
 
 
-def resultant(U, V):
-    """Sylvester-map determinant; zero iff U, V share a projective root."""
+def _check_equal_degrees(U, V):
     if U.degree != V.degree or U.degree < 1:
         raise InvalidInputError("resultant needs two forms of equal degree >= 1")
-    return _bareiss_det(_sylvester_map_matrix(U, V))
 
 
-def _solve_int_linear(mat, rhs):
-    """Solve an integer system exactly (Fraction Gauss); unique solution."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateMapError("singular Sylvester system")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+def resultant(U, V):
+    """Sylvester-map determinant; zero iff U, V share a projective root."""
+    _check_equal_degrees(U, V)
+    return _bareiss(_sylvester_map_matrix(U, V))[0]
 
 
 def nullstellensatz_cofactors(U, V):
     """Integer cofactors with A U + B V = Res(U,V) X^(2d-1) (and Y^(2d-1)).
 
     Returns (A_X, B_X, A_Y, B_Y, r).  By Cramer's rule the solution of the
-    Sylvester system against r e_j is an adjugate column, hence integral.
+    Sylvester system against r e_j is the adjugate column adj(M) e_j, so one
+    fraction-free elimination of [M | e_0 | e_(2d-1)] gives r and both pairs.
     """
+    _check_equal_degrees(U, V)
     d = U.degree
-    r = resultant(U, V)
+    n = 2 * d
+    rows = [row + [int(i == 0), int(i == n - 1)]
+            for i, row in enumerate(_sylvester_map_matrix(U, V))]
+    r, cols = _bareiss(rows)
     if r == 0:
         raise DegenerateMapError("zero resultant: forms share a projective root")
-    mat = _sylvester_map_matrix(U, V)
-    n = 2 * d
-
-    def solve(target_row):
-        rhs = [0] * n
-        rhs[target_row] = r
-        sol = _solve_int_linear(mat, rhs)
-        assert all(f.denominator == 1 for f in sol)
-        a = BinaryForm(d - 1, [int(f) for f in sol[:d]])
-        b = BinaryForm(d - 1, [int(f) for f in sol[d:]])
-        return a, b
-
-    ax, bx = solve(0)
-    ay, by = solve(n - 1)
+    (ax, bx), (ay, by) = ((BinaryForm(d - 1, c[:d]), BinaryForm(d - 1, c[d:]))
+                          for c in cols)
     return ax, bx, ay, by, r
 
 
@@ -474,7 +428,7 @@ def resultant_univariate(P, Q):
     for i in range(m):
         for k in range(n + 1):
             mat[i + k][n + i] = Q.coeffs[n - k]
-    return _bareiss_det(mat)
+    return _bareiss(mat)[0]
 
 
 def discriminant(P):
@@ -515,7 +469,8 @@ def cyclotomic(n):
     for m in range(1, n):
         if n % m == 0:
             num = num.exact_div(cyclotomic(m))
-    assert num.degree == euler_phi(n)
+    if num.degree != euler_phi(n):
+        raise RuntimeError(f"Phi_{n} has degree {num.degree}, not phi({n})")
     return num
 
 

@@ -14,7 +14,9 @@ from itertools import product
 
 import mpmath as mpm
 
-from .errors import IndeterminacyError, InvalidInputError, ResourceLimitError
+from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
+                     ResourceLimitError)
+from .polyforms import BinaryForm, nullstellensatz_cofactors
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
 COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entries
@@ -58,13 +60,6 @@ class ProjPointQ:
 
     def __str__(self):
         return "[" + ":".join(str(c) for c in self.coords) + "]"
-
-    def to_json(self):
-        return [str(c) for c in self.coords]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([int(s) for s in data])
 
 
 def height(x: ProjPointQ):
@@ -163,7 +158,8 @@ def enumerate_points(k, B):
     for m in range(1, Hmax + 1):
         pts.extend(points_on_shell(k, m))
     pts.sort(key=lambda p: p.coords)
-    assert len(pts) == n
+    if len(pts) != n:
+        raise RuntimeError(f"enumerated {len(pts)} points, Mobius count {n}")
     return pts
 
 
@@ -341,12 +337,12 @@ def functoriality_constants(f: HomMorphism):
                 and sorted(s[0] for s in support) == list(range(f.source_dim + 1)):
             return 0.0, 0.0
     if f.source_dim == 1 and f.target_dim == 1:
-        from .polyforms import BinaryForm, nullstellensatz_cofactors, resultant
         U = _homform_to_binary(f.forms[0])
         V = _homform_to_binary(f.forms[1])
-        if resultant(U, V) == 0:
+        try:
+            ax, bx, ay, by, _ = nullstellensatz_cofactors(U, V)
+        except DegenerateMapError:
             return c_upper, None
-        ax, bx, ay, by, r = nullstellensatz_cofactors(U, V)
         maxcof = max(max(abs(c) for c in g.coeffs) for g in (ax, bx, ay, by))
         d = f.degree
         # |Res| x^(2d-1) = A U + B V and gcd(U,V)(a,b) divides Res, so the
@@ -358,7 +354,6 @@ def functoriality_constants(f: HomMorphism):
 
 
 def _homform_to_binary(form: HomForm):
-    from .polyforms import BinaryForm
     d = form.degree
     coeffs = [0] * (d + 1)
     for expo, c in form.terms:

@@ -4,9 +4,8 @@ A torus point is a tuple of nonzero coordinates, each an exact rational or
 an AlgebraicNumber; its height is the sum of coordinate heights.  Monomial
 maps z -> z_1^a_1 ... z_k^a_k push rational points forward exactly; for
 algebraic coordinates the image is returned as the complex cloud of
-conjugate products, with an exact product polynomial (companion-matrix
-Kronecker product characteristic polynomial) when the combined degree stays
-at or below 16.
+conjugate products, with an exact product polynomial (built from
+resultants) when the combined degree stays at or below 16.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 from .algebraic import AlgebraicNumber, height_algebraic
 from .errors import InvalidInputError
 from .green import EmpiricalMeasure
-from .polyforms import IntPoly
+from .polyforms import IntPoly, resultant_univariate
 
 EXACT_PRODUCT_DEGREE_CAP = 16
 
@@ -63,120 +62,55 @@ def torus_height(x: TorusPoint):
 
 
 # ---------------------------------------------------------------------------
-# exact product polynomials via companion matrices
+# exact product polynomials via resultants
 # ---------------------------------------------------------------------------
 
-def _companion(poly: IntPoly):
-    """Companion matrix of the monicized polynomial, exact Fractions."""
-    d = poly.degree
-    lead = Fraction(poly.lead)
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(1, d):
-        m[i][i - 1] = Fraction(1)
-    for i in range(d):
-        m[i][d - 1] = -Fraction(poly.coeffs[i]) / lead
-    return m
+def _resultant_in_x(P, deg, q_at):
+    """Res_y(P(y), q_at(x)(y)) as a polynomial in x of known degree `deg`.
 
-
-def _kron(a, b):
-    ra, rb = len(a), len(b)
-    out = [[Fraction(0)] * (ra * rb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ra):
-            if a[i][j] == 0:
-                continue
-            for k in range(rb):
-                for l in range(rb):
-                    if b[k][l] != 0:
-                        out[i * rb + k][j * rb + l] = a[i][j] * b[k][l]
-    return out
-
-
-def _mat_inverse(a):
-    n = len(a)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0)
-                     for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InvalidInputError("coordinate is zero (singular companion)")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _charpoly(a):
-    """Characteristic polynomial det(X I - A) by Faddeev-LeVerrier."""
-    n = len(a)
-    coeffs = [Fraction(1)]  # X^n downwards
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        m = _mat_mul(a, m)
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-        am = _mat_mul(a, m)
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    low_first = list(reversed(coeffs))
-    den = math.lcm(*(f.denominator for f in low_first))
-    return IntPoly([int(f * den) for f in low_first]).primitive()
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k] == 0:
-                continue
-            aik = a[i][k]
-            for j in range(n):
-                if b[k][j] != 0:
-                    out[i][j] += aik * b[k][j]
-    return out
+    Evaluated at x = 0..deg and interpolated by Newton divided differences.
+    """
+    c = [Fraction(resultant_univariate(P, q_at(x))) for x in range(deg + 1)]
+    for k in range(1, deg + 1):
+        for i in range(deg, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / k
+    poly = IntPoly((c[deg],))
+    for i in range(deg - 1, -1, -1):
+        poly = poly * IntPoly((-i, 1)) + IntPoly((c[i],))
+    return poly
 
 
 def _product_polynomial(coords, exponents):
     """Exact integer polynomial annihilating prod coord_i^a_i.
 
-    Multiplication by the product acts on the tensor of the coordinate
-    rings; its characteristic polynomial is computed exactly.  The result
-    annihilates the value but may be reducible or non-squarefree; callers
-    take the squarefree part.
+    alpha^a (a >= 2) is a root of Res_y(P(y), x - y^a), 1/alpha of the
+    reversed P, and alpha beta of Res_y(P(y), y^n Q(x/y)); each resultant
+    has known degree in x and a nonzero leading coefficient because torus
+    coordinates are nonzero.  The result annihilates the value but may be
+    reducible or non-squarefree; callers take the squarefree part.
     """
-    mat = [[Fraction(1)]]
+    acc = None
     for c, a in zip(coords, exponents):
         if a == 0:
             continue
         if isinstance(c, AlgebraicNumber):
-            comp = _companion(c.minpoly)
+            P = c.minpoly
         else:
-            comp = [[Fraction(c)]]
+            q = Fraction(c)
+            P = IntPoly((-q.numerator, q.denominator))
         if a < 0:
-            comp = _mat_inverse(comp)
-            a = -a
-        pw = _mat_pow(comp, a)
-        mat = _kron(mat, pw)
-    return _charpoly(mat)
-
-
-def _mat_pow(a, e):
-    n = len(a)
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    base = a
-    while e:
-        if e & 1:
-            out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
-        e >>= 1
-    return out
+            P, a = P.reversed(), -a
+        if a > 1:
+            P = _resultant_in_x(
+                P, P.degree, lambda x: IntPoly((x,) + (0,) * (a - 1) + (-1,)))
+        if acc is None:
+            acc = P
+        else:
+            n = P.degree
+            acc = _resultant_in_x(
+                acc, acc.degree * n,
+                lambda x: IntPoly([P[k] * x ** k for k in range(n, -1, -1)]))
+    return acc.primitive()
 
 
 @dataclass
@@ -186,10 +120,6 @@ class PushforwardResult:
     minpoly: IntPoly | None         # exact annihilating polynomial if computed
     height: float | None            # exact/certified height when available
     bound: float                    # sum |a_i| max_i h(x_i)
-
-    @property
-    def height_available(self):
-        return self.height is not None
 
 
 def monomial_pushforward(x: TorusPoint, exponents):

@@ -452,3 +452,41 @@ class TestSharedObjectsAcrossThreads:
         assert not any(t.is_alive() for t in threads)
         assert results == [serial] * 4
         assert (mpm.mp.dps, mpm.iv.prec) == (dps, ivprec)
+
+
+class TestIntervalEnclosures:
+    """The certified escape rate must not depend on the global mp precision."""
+
+    @staticmethod
+    def endpoints(x):
+        import mpmath as mpm
+        return tuple(Fraction(*mpm.libmp.to_rational(e)) for e in x._mpi_)
+
+    def test_max_abs_encloses(self):
+        import mpmath as mpm
+
+        from arithdyn.dynamics import _iv_max_abs
+        with mpm.workprec(53):
+            old = mpm.iv.prec
+            try:
+                mpm.iv.prec = 80
+                third = mpm.iv.mpf(1) / 3
+                for a, b, want in ((third, mpm.iv.mpf(1) / 7, Fraction(1, 3)),
+                                   (mpm.iv.mpf(-1) / 9, -third, Fraction(1, 3)),
+                                   (mpm.iv.mpf(2) / 3, third, Fraction(2, 3))):
+                    lo, hi = self.endpoints(_iv_max_abs(a, b))
+                    assert lo <= want <= hi
+            finally:
+                mpm.iv.prec = old
+
+    def test_escape_rate_independent_of_global_precision(self):
+        import mpmath as mpm
+
+        from arithdyn.dynamics import escape_rate_exact_pair
+        for f in (Z2P1, make_map((2, -1, 3, 5), (1, 4, 0, -7))):
+            for a, b in ((1, 2), (3, -7), (-5, 11)):
+                default = escape_rate_exact_pair(f, a, b, 1e-10)
+                for prec in (30, 200):
+                    with mpm.workprec(prec):
+                        assert escape_rate_exact_pair(f, a, b, 1e-10) \
+                            == default

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from arithdyn.errors import InvalidInputError, RepeatedRootError
 from arithdyn.polyforms import (BinaryForm, IntPoly, PadicValuation,
-                                _form_add, _form_mul, complex_roots,
+                                _bareiss, _form_add, _form_mul, complex_roots,
                                 cyclotomic, discriminant, euler_phi,
                                 nullstellensatz_cofactors, resultant,
                                 resultant_univariate, vp)
@@ -103,6 +103,76 @@ class TestResultant:
             rhs = r_uv ** 2 * r_fg ** 4
             assert lhs == rhs or lhs == -rhs
             checked += 1
+
+
+def _check_adjugate(mat):
+    """_bareiss(mat | I): the determinant against the permutation oracle and,
+    when it is nonzero, M times each returned column is det e_j exactly."""
+    n = len(mat)
+    det, cols = _bareiss([row + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(mat)])
+    assert det == det_by_permutations(mat)
+    assert _bareiss(mat)[0] == det
+    if det == 0:
+        assert cols is None
+        return det
+    assert len(cols) == n
+    for j, col in enumerate(cols):
+        assert all(type(c) is int for c in col)
+        assert [sum(a * c for a, c in zip(row, col)) for row in mat] == \
+            [det * int(i == j) for i in range(n)]
+    return det
+
+
+class TestBareiss:
+    def test_random_up_to_8x8(self):
+        rng = random.Random(17)
+        for n in range(1, 9):
+            for _ in range(2 if n == 8 else 4):
+                _check_adjugate([[rng.randint(-9, 9) for _ in range(n)]
+                                 for _ in range(n)])
+
+    def test_singular(self):
+        rng = random.Random(19)
+        for n in range(2, 9):
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            combo = [a * x + b * y for x, y in zip(mat[0], mat[-1])]
+            mat.insert(rng.randrange(n), combo)
+            assert _check_adjugate(mat) == 0
+        assert _check_adjugate([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+    def test_pivot_needed(self):
+        rng = random.Random(23)
+        # every leading pivot of the anti-diagonal is zero
+        for n in range(2, 9):
+            anti = [[(i + 1) * int(i + j == n - 1) for j in range(n)]
+                    for i in range(n)]
+            assert _check_adjugate(anti) != 0
+        # the second pivot vanishes only after the first elimination step
+        assert _check_adjugate([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
+        for n in range(3, 9):
+            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            mat[0][0] = 0
+            mat[1] = [mat[0][k] + (k == n - 1) for k in range(n)]
+            rng.shuffle(mat)
+            _check_adjugate(mat)
+
+    def test_cofactors_are_adjugate_columns(self):
+        U = BinaryForm(3, (2, -1, 3, 5))
+        V = BinaryForm(3, (1, 4, 0, -7))
+        ax, bx, ay, by, r = nullstellensatz_cofactors(U, V)
+        mat = sylvester_matrix_by_hand(U, V)
+        assert r == det_by_permutations(mat)
+        for col, j in ((ax.coeffs + bx.coeffs, 0), (ay.coeffs + by.coeffs, 5)):
+            assert [sum(a * c for a, c in zip(row, col)) for row in mat] == \
+                [r * int(i == j) for i in range(6)]
+
+    def test_cofactor_degree_checked(self):
+        with pytest.raises(InvalidInputError):
+            nullstellensatz_cofactors(X2, BinaryForm(3, (1, 0, 0, 1)))
+        with pytest.raises(InvalidInputError):
+            nullstellensatz_cofactors(BinaryForm(0, (1,)), BinaryForm(0, (2,)))
 
 
 class TestCofactors:

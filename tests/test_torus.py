@@ -4,14 +4,16 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mpm
 import pytest
 
 from arithdyn.algebraic import AlgebraicNumber, cyclotomic_number
 from arithdyn.errors import InvalidInputError
 from arithdyn.green import bilu_moment_test
 from arithdyn.polyforms import IntPoly
-from arithdyn.torus import (TorusPoint, monomial_pushforward,
-                            subadditivity_check, torus_height)
+from arithdyn.torus import (TorusPoint, _product_polynomial,
+                            monomial_pushforward, subadditivity_check,
+                            torus_height)
 
 SQRT2 = AlgebraicNumber(IntPoly((-2, 0, 1)))
 CBRT2 = AlgebraicNumber(IntPoly((-2, 0, 0, 1)))
@@ -110,6 +112,52 @@ class TestPushforward:
         assert res.minpoly is None and res.height is None
         assert res.cloud is not None and len(res.cloud) == 125
         assert res.bound == pytest.approx(3 * math.log(2) / 5, abs=1e-12)
+
+
+def _conjugates_60(c):
+    """All conjugates of a coordinate from 60-digit mpmath.polyroots."""
+    if not isinstance(c, AlgebraicNumber):
+        return [mpm.mpf(Fraction(c).numerator) / Fraction(c).denominator]
+    return mpm.polyroots(list(reversed(c.minpoly.coeffs)), maxsteps=200,
+                         extraprec=200)
+
+
+class TestProductPolynomial:
+    GOLDEN = AlgebraicNumber(IntPoly((-1, -1, 1)))
+    CASES = [
+        ((SQRT2, Fraction(3, 2)), (2, -1)),
+        ((GOLDEN, Fraction(-5, 7)), (3, 2)),
+        ((SQRT2, GOLDEN), (-1, 2)),
+        ((CBRT2, Fraction(2, 3), SQRT2), (2, 5, -3)),
+        ((cyclotomic_number(5), CBRT2), (-2, 1)),
+        ((GOLDEN, SQRT2, GOLDEN), (1, 0, -3)),
+    ]
+
+    @pytest.mark.parametrize("coords, exps", CASES)
+    def test_vanishes_at_conjugate_products(self, coords, exps):
+        poly = _product_polynomial(coords, exps)
+        degree = 1
+        for c, a in zip(coords, exps):
+            if a and isinstance(c, AlgebraicNumber):
+                degree *= c.degree
+        assert poly.degree == degree
+        assert all(type(c) is int for c in poly.coeffs) and poly.lead > 0
+        with mpm.workdps(60):
+            values = [mpm.mpf(1)]
+            for c, a in zip(coords, exps):
+                if a:
+                    values = [v * z ** a for v in values
+                              for z in _conjugates_60(c)]
+            assert len(values) == degree
+            for z in values:
+                scale = sum(abs(c) * abs(z) ** k
+                            for k, c in enumerate(poly.coeffs))
+                assert abs(poly(z)) <= 1e-30 * scale
+
+    def test_rational_power_and_inverse(self):
+        # (sqrt2)^2 (3/2)^-1 = 4/3 from both conjugates: (3X - 4)^2
+        assert _product_polynomial((SQRT2, Fraction(3, 2)), (2, -1)).coeffs \
+            == (16, -24, 9)
 
 
 class TestSubadditivity:
