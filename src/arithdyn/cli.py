@@ -270,7 +270,7 @@ def _load_cloud(path):
 def cmd_baker(args):
     f = parse_map(args.map)
     field = EscapeRateField(f, args.tol)
-    if args.roots_of_unity:
+    if args.roots_of_unity is not None:
         nu = EmpiricalMeasure.roots_of_unity(args.roots_of_unity)
         points = list(nu.points)
     else:
@@ -380,13 +380,14 @@ class _JsonErrorParser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def _number(check, what):
+def _number(check, what, kind=float):
     def parse(s):
         try:
-            x = float(s)
-        except ValueError:
-            x = math.nan
-        if not (math.isfinite(x) and check(x)):
+            x = kind(s)
+            ok = math.isfinite(x) and check(x)
+        except (ValueError, OverflowError):  # an int beyond float range
+            ok = False
+        if not ok:
             raise argparse.ArgumentTypeError(f"{s!r} is not {what}")
         return x
     return parse
@@ -395,13 +396,8 @@ def _number(check, what):
 finite_float = _number(lambda x: True, "a finite number")
 positive_float = _number(lambda x: x > 0, "a positive finite number")
 nonnegative_float = _number(lambda x: x >= 0, "a nonnegative finite number")
-
-
-def positive_int(s):
-    n = int(s)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
-    return n
+positive_int = _number(lambda n: n >= 1, "a positive integer", int)
+_nonnegative_int = _number(lambda n: n >= 0, "a nonnegative integer", int)
 
 
 def build_parser():
@@ -423,13 +419,13 @@ def build_parser():
     p.add_argument("--point", required=True)
 
     p = add("enumerate", cmd_enumerate, help="points of bounded height (CSV)")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
     p.add_argument("--B", type=nonnegative_float, required=True,
                    help="log-height bound (H <= e^B)")
     p.add_argument("--out")
 
     p = add("schanuel", cmd_schanuel, help="Schanuel count ratio")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
     p.add_argument("--B", type=positive_float, required=True,
                    help="exponential height bound")
 
@@ -486,8 +482,9 @@ def build_parser():
 
     p = add("baker", cmd_baker, help="mean pairwise G statistic")
     p.add_argument("--map", required=True)
-    p.add_argument("--points-file", dest="points_file")
-    p.add_argument("--roots-of-unity", dest="roots_of_unity", type=int)
+    points = p.add_mutually_exclusive_group(required=True)
+    points.add_argument("--points-file", dest="points_file")
+    points.add_argument("--roots-of-unity", dest="roots_of_unity", type=int)
     p.add_argument("--tol", type=positive_float, default=1e-10)
 
     p = add("bilu", cmd_bilu, help="monomial moments of an orbit family")
@@ -506,11 +503,15 @@ def build_parser():
     p.add_argument("--r", type=positive_float, required=True)
 
     p = add("torus", cmd_torus, help="torus height subsuite")
-    p.add_argument("torus_op", choices=("height", "push", "subadd"))
-    p.add_argument("--coords", help="JSON coordinate descriptors")
-    p.add_argument("--exp", help="comma-separated exponents")
-    p.add_argument("--alpha")
-    p.add_argument("--beta")
+    ops = p.add_subparsers(dest="torus_op", required=True)
+    coords = dict(required=True, help="JSON coordinate descriptors")
+    ops.add_parser("height").add_argument("--coords", **coords)
+    q = ops.add_parser("push")
+    q.add_argument("--coords", **coords)
+    q.add_argument("--exp", required=True, help="comma-separated exponents")
+    q = ops.add_parser("subadd")
+    q.add_argument("--alpha", required=True)
+    q.add_argument("--beta", required=True)
 
     return ap
 

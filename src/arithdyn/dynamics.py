@@ -18,7 +18,11 @@ algorithms are provided:
   an explicit tail constant from the two-sided compacity inequality.
 
 Cross-asserting the two is the intended bug detector; the local route is
-authoritative, the global route is the oracle.
+authoritative, the global route is the oracle.  Below the two routes the
+pieces are shared: forms are evaluated by `BinaryForm.__call__` (on exact
+integers and on mpmath intervals alike), exact orbits come from `iterate`,
+and both interval computations are certified by one doubling iv.prec
+ladder, `_iv_ladder`, the only code that sets mpmath's interval precision.
 """
 
 from __future__ import annotations
@@ -143,7 +147,8 @@ class RationalMap:
                            self.V.compose(other.U, other.V))
 
     def equals_projectively(self, other):
-        return _primitive_pair(self.U, self.V) == _primitive_pair(other.U, other.V)
+        return (ProjPointQ(self.U.coeffs + self.V.coeffs)
+                == ProjPointQ(other.U.coeffs + other.V.coeffs))
 
     def to_json(self):
         return {"d": self.degree,
@@ -155,17 +160,6 @@ class RationalMap:
         d = int(data["d"])
         return cls(BinaryForm(d, [int(c) for c in data["U"]]),
                    BinaryForm(d, [int(c) for c in data["V"]]))
-
-
-def _primitive_pair(U, V):
-    g = math.gcd(U.content(), V.content())
-    cs = [c // g for c in U.coeffs] + [c // g for c in V.coeffs]
-    for c in cs:
-        if c != 0:
-            if c < 0:
-                cs = [-x for x in cs]
-            break
-    return tuple(cs)
 
 
 def good_reduction_at(f: RationalMap, p):
@@ -191,10 +185,13 @@ def iterate(f: RationalMap, x: ProjPointQ, n_max=1000, height_cap=60.0,
     """gcd-reduced exact orbit with cycle detection.
 
     Stops at the first revisited point, when log-height exceeds height_cap
-    (escaping), or at n_max / the digit budget (budget-exhausted).
+    (escaping; a start above the cap takes no step), or at n_max / the
+    digit budget (budget-exhausted).
     """
     pts = [x]
     gcds = []
+    if x.height() > height_cap:
+        return OrbitRecord(pts, gcds, "escaping")
     seen = {x.coords: 0}
     bit_cap = int(digit_budget * math.log2(10))
     for k in range(n_max):
@@ -290,33 +287,19 @@ class _IntervalBlowup(Exception):
 
 def _iv_max_abs(a, b):
     """max(|a|, |b|) from the interval endpoints themselves, so the
-    enclosure holds at any global mp precision."""
+    enclosure holds at any global mp precision; _IntervalBlowup when it
+    may contain 0 (the renormalization would divide by it)."""
     aa, bb = abs(a), abs(b)
-    return mpm.iv.mpf([max(aa.a, bb.a), max(aa.b, bb.b)])
-
-
-def _iv_eval_form(form: BinaryForm, x, y):
-    d = form.degree
-    xp = [mpm.iv.mpf(1)]
-    yp = [mpm.iv.mpf(1)]
-    for _ in range(d):
-        xp.append(xp[-1] * x)
-        yp.append(yp[-1] * y)
-    acc = mpm.iv.mpf(0)
-    for i, c in enumerate(form.coeffs):
-        if c:
-            acc += mpm.iv.mpf(c) * xp[d - i] * yp[i]
-    return acc
+    m = mpm.iv.mpf([max(aa.a, bb.a), max(aa.b, bb.b)])
+    if not m.a > 0:
+        raise _IntervalBlowup()
+    return m
 
 
 def _iv_mid(x):
     # a float, not an mpf: it enters interval arithmetic exactly, where an
     # mpf would be rounded to the caller's global mp precision
     return float(x.mid.a)
-
-
-def _iv_radius(x):
-    return float(x.delta.b) / 2
 
 
 def _escape_rate_interval(f: RationalMap, a, b, K):
@@ -335,21 +318,41 @@ def _escape_rate_interval(f: RationalMap, a, b, K):
     scale = mpm.iv.mpf(1)
     dd = mpm.iv.mpf(d)
     for _ in range(K):
-        A = _iv_eval_form(f.U, u, v)
-        B = _iv_eval_form(f.V, u, v)
+        A, B = f.U(u, v), f.V(u, v)
         m = _iv_max_abs(A, B)
-        if not m.a > 0:
-            raise _IntervalBlowup()
         scale = scale / dd
         t = _iv_mid(m)
         total += scale * mpm.iv.log(mpm.iv.mpf(t))
         u = A / t
         v = B / t
     m = _iv_max_abs(u, v)
-    if not m.a > 0:
-        raise _IntervalBlowup()
     tail = mpm.iv.log(m) + mpm.iv.mpf([-tail_c, tail_c])
     return total + scale * tail
+
+
+def _iv_ladder(box_at, tol, prec, rungs, scale=1):
+    """(midpoint/scale, radius/scale) of the interval `box_at()` at the
+    first iv.prec of prec, 2 prec, 4 prec, ... (`rungs` of them) whose
+    scaled radius is at most tol; None when none is.  A rung whose interval
+    blows up counts as failed.  Holds MP_PRECISION_LOCK and restores the
+    caller's iv.prec.
+    """
+    with MP_PRECISION_LOCK:
+        old = mpm.iv.prec
+        try:
+            for _ in range(rungs):
+                mpm.iv.prec = prec
+                try:
+                    box = box_at()
+                    err = float(box.delta.b) / 2 / scale
+                    if err <= tol:
+                        return _iv_mid(box) / scale, err
+                except _IntervalBlowup:
+                    pass
+                prec *= 2
+        finally:
+            mpm.iv.prec = old
+    return None
 
 
 def escape_rate_exact_pair(f: RationalMap, a, b, tol):
@@ -359,22 +362,12 @@ def escape_rate_exact_pair(f: RationalMap, a, b, tol):
     K = 1
     while (tail_c + 2.0) / (d ** K) > tol / 4 and K < 300:
         K += 1
-    prec = 80
-    for _ in range(10):
-        with MP_PRECISION_LOCK:
-            old = mpm.iv.prec
-            mpm.iv.prec = prec
-            try:
-                box = _escape_rate_interval(f, a, b, K)
-                err = _iv_radius(box)
-                if err <= tol:
-                    return _iv_mid(box), err
-            except _IntervalBlowup:
-                pass
-            finally:
-                mpm.iv.prec = old
-        prec *= 2
-    raise ResourceLimitError(prec, "escape-rate certification stalled")
+    found = _iv_ladder(lambda: _escape_rate_interval(f, a, b, K), tol,
+                       prec=80, rungs=10)
+    if found is None:
+        raise ResourceLimitError(80 * 2 ** 10,
+                                 "escape-rate certification stalled")
+    return found
 
 
 def _reduced_orbit_log_height_interval(f: RationalMap, a, b, steps, gcds):
@@ -390,18 +383,13 @@ def _reduced_orbit_log_height_interval(f: RationalMap, a, b, steps, gcds):
     u = mpm.iv.mpf(a) / s
     v = mpm.iv.mpf(b) / s
     for k in range(steps):
-        A = _iv_eval_form(f.U, u, v)
-        B = _iv_eval_form(f.V, u, v)
+        A, B = f.U(u, v), f.V(u, v)
         m = _iv_max_abs(A, B)
-        if not m.a > 0:
-            raise _IntervalBlowup()
         t = _iv_mid(m)
         S = d * S + mpm.iv.log(mpm.iv.mpf(t)) - mpm.iv.log(mpm.iv.mpf(gcds[k]))
         u = A / t
         v = B / t
     m = _iv_max_abs(u, v)
-    if not m.a > 0:
-        raise _IntervalBlowup()
     return S + mpm.iv.log(m)
 
 
@@ -422,10 +410,12 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8,
                             digit_budget=DIGIT_BUDGET):
     """hhat(x) = d^-n h(f^n x) at the first n with c_max/(d^n (d-1)) <= tol.
 
-    Preperiodic orbits short-circuit to exactly 0.  If the requested n would
-    exceed the exact digit budget the orbit is continued with certified
-    interval logs (per-step gcds from p-adic tracks), so the tolerance is
-    still met; `budget_exhausted` is set only if even that fails.
+    The exact phase is `iterate` up to n, stopped early once a coordinate
+    passes EXACT_PHASE_BITS bits (or the digit budget); a cycle
+    short-circuits to exactly 0.  From the point where it stopped the orbit
+    is continued with certified interval logs (per-step gcds from p-adic
+    tracks), so the tolerance is still met; `budget_exhausted` is set only
+    if even that fails.
     """
     d = f.degree
     c_up, c_lo = f.functoriality_constants()
@@ -435,50 +425,30 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8,
                                   note="exact multiplicative map")
     n_star = max(0, math.ceil(math.log(c_max / (tol * (d - 1))) / math.log(d)))
 
-    # exact phase: reduced orbit while coordinates stay small
-    pts = [x]
-    seen = {x.coords: 0}
-    k = 0
-    while k < n_star:
-        a, b = pts[-1].coords
-        if max(abs(a), abs(b)).bit_length() > EXACT_PHASE_BITS:
-            break
-        A, B = f.U(a, b), f.V(a, b)
-        g = math.gcd(abs(A), abs(B))
-        nxt = ProjPointQ((A // g, B // g))
-        k += 1
-        pts.append(nxt)
-        if nxt.coords in seen:
-            return GlobalHeightResult(0.0, 0.0, k, note="preperiodic (cycle)")
-        seen[nxt.coords] = k
+    trunc = c_max / (d ** n_star * (d - 1))
+    # exact phase: the reduced orbit while coordinates stay small
+    # (EXACT_PHASE_BITS is read at call time, so it can be patched)
+    rec = iterate(f, x, n_max=n_star,
+                  height_cap=EXACT_PHASE_BITS * math.log(2),
+                  digit_budget=digit_budget)
+    k = len(rec.points) - 1
+    if rec.status == "cycle":
+        return GlobalHeightResult(0.0, 0.0, k, note="preperiodic (cycle)")
+    end = rec.points[-1]
     if k == n_star:
-        value = pts[-1].height() / d ** n_star
-        return GlobalHeightResult(value, c_max / (d ** n_star * (d - 1)),
-                                  n_star)
+        return GlobalHeightResult(end.height() / d ** n_star, trunc, n_star)
 
     # interval continuation from the exact handoff point
-    a, b = pts[-1].coords
+    a, b = end.coords
     remaining = n_star - k
-    gcds = orbit_gcds(f, pts[-1], remaining)
-    trunc = c_max / (d ** n_star * (d - 1))
-    prec = 120 + 2 * remaining
-    for _ in range(8):
-        with MP_PRECISION_LOCK:
-            old = mpm.iv.prec
-            mpm.iv.prec = prec
-            try:
-                box = _reduced_orbit_log_height_interval(f, a, b, remaining,
-                                                         gcds)
-                err = _iv_radius(box) / d ** n_star
-                if err <= tol:
-                    value = _iv_mid(box) / d ** n_star
-                    return GlobalHeightResult(value, trunc + err, n_star)
-            except _IntervalBlowup:
-                pass
-            finally:
-                mpm.iv.prec = old
-        prec *= 2
-    return GlobalHeightResult(pts[-1].height() / d ** k,
+    gcds = orbit_gcds(f, end, remaining)
+    found = _iv_ladder(
+        lambda: _reduced_orbit_log_height_interval(f, a, b, remaining, gcds),
+        tol, prec=120 + 2 * remaining, rungs=8, scale=d ** n_star)
+    if found is not None:
+        value, err = found
+        return GlobalHeightResult(value, trunc + err, n_star)
+    return GlobalHeightResult(end.height() / d ** k,
                               c_max / (d ** k * (d - 1)), k,
                               budget_exhausted=True,
                               note="interval continuation stalled")

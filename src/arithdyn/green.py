@@ -56,8 +56,6 @@ class EscapeRateField:
     def __post_init__(self):
         self.degree = self.map.degree
         self.tail_constant = self.map.compacity_tail_constant()
-        self._ucoef = np.array([complex(c) for c in self.map.U.coeffs])
-        self._vcoef = np.array([complex(c) for c in self.map.V.coeffs])
         self._exact_power = self.map.is_unit_power_pair()
         self.depth = self._depth_for(self.tol)
 
@@ -68,21 +66,6 @@ class EscapeRateField:
         while (self.tail_constant + 1.0) / d ** K > tol / 10 and K < 200:
             K += 1
         return K
-
-    def _eval_forms(self, x, y):
-        d = self.degree
-        xp = np.ones_like(x)
-        xs = [xp]
-        for _ in range(d):
-            xs.append(xs[-1] * x)
-        U = np.zeros_like(x)
-        V = np.zeros_like(x)
-        yp = np.ones_like(y)
-        for i in range(d + 1):
-            U = U + self._ucoef[i] * xs[d - i] * yp
-            V = V + self._vcoef[i] * xs[d - i] * yp
-            yp = yp * y
-        return U, V
 
     def escape_vec(self, xs, ys):
         """Vectorized Lambda over numpy arrays of homogeneous coordinates."""
@@ -97,7 +80,7 @@ class EscapeRateField:
         x, y = x / m, y / m
         w = 1.0
         for _ in range(self.depth):
-            X, Y = self._eval_forms(x, y)
+            X, Y = self.map.U(x, y), self.map.V(x, y)
             m = np.maximum(np.abs(X), np.abs(Y))
             w /= self.degree
             acc = acc + w * np.log(m)
@@ -454,6 +437,10 @@ def transfinite_diameter(field: EscapeRateField, n, restarts=32, seed=0,
     if n < 2:
         raise InvalidInputError("need n >= 2")
     f = field.map
+    # power maps have no discrete Fekete start, only the random ones
+    if restarts < 0 or (restarts == 0 and f.is_unit_power_pair()):
+        raise InvalidInputError("no start configuration: need restarts >= 1 "
+                                "(>= 0 for maps other than power maps)")
     d = field.degree
     formula = abs(f.res) ** (-1.0 / (d * (d - 1)))
     rng = np.random.default_rng(seed)

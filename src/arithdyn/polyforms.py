@@ -263,17 +263,18 @@ class BinaryForm:
         return all(c == 0 for c in self.coeffs)
 
     def __call__(self, x, y):
-        # Horner in x/y-free form: sum c_i x^(d-i) y^i, stable for exact types
+        """sum c_i x^(d-i) y^i from power tables of x and y, skipping zero
+        coefficients; x, y may be ints, Fractions, mpmath numbers or
+        intervals, or numpy arrays."""
         d = self.degree
-        acc = 0
-        xp = [1]
+        xp, yp = [1], [1]
         for _ in range(d):
             xp.append(xp[-1] * x)
-        yp = 1
+            yp.append(yp[-1] * y)
+        acc = 0
         for i, c in enumerate(self.coeffs):
-            if c != 0:
-                acc += c * xp[d - i] * yp
-            yp = yp * y
+            if c:
+                acc += c * xp[d - i] * yp[i]
         return acc
 
     def content(self):
@@ -363,19 +364,22 @@ def _bareiss(rows):
                          for j in range(n, width)]
 
 
-def _sylvester_map_matrix(U, V):
-    """Matrix of (A, B) -> A U + B V on degree d-1 pairs, monomial bases.
+def _sylvester(p, q):
+    """Sylvester matrix of high-first coefficient lists of degrees m and n.
 
-    Row j is the coefficient of X^(2d-1-j) Y^j; columns 0..d-1 come from
-    A = X^(d-1-i) Y^i, columns d..2d-1 from B likewise.
+    Row j holds the coefficient of X^(m+n-1-j) (times Y^j for forms);
+    columns 0..n-1 hold the shifts of p, columns n..n+m-1 those of q.  For
+    forms U, V of degree d this is the matrix of (A, B) -> A U + B V on
+    pairs of degree d-1, monomial bases.
     """
-    d = U.degree
-    n = 2 * d
-    mat = [[0] * n for _ in range(n)]
-    for i in range(d):
-        for k in range(d + 1):
-            mat[i + k][i] = U.coeffs[k]
-            mat[i + k][d + i] = V.coeffs[k]
+    m, n = len(p) - 1, len(q) - 1
+    mat = [[0] * (m + n) for _ in range(m + n)]
+    for i in range(n):
+        for k, c in enumerate(p):
+            mat[i + k][i] = c
+    for i in range(m):
+        for k, c in enumerate(q):
+            mat[i + k][n + i] = c
     return mat
 
 
@@ -387,7 +391,7 @@ def _check_equal_degrees(U, V):
 def resultant(U, V):
     """Sylvester-map determinant; zero iff U, V share a projective root."""
     _check_equal_degrees(U, V)
-    return _bareiss(_sylvester_map_matrix(U, V))[0]
+    return _bareiss(_sylvester(U.coeffs, V.coeffs))[0]
 
 
 def nullstellensatz_cofactors(U, V):
@@ -401,7 +405,7 @@ def nullstellensatz_cofactors(U, V):
     d = U.degree
     n = 2 * d
     rows = [row + [int(i == 0), int(i == n - 1)]
-            for i, row in enumerate(_sylvester_map_matrix(U, V))]
+            for i, row in enumerate(_sylvester(U.coeffs, V.coeffs))]
     r, cols = _bareiss(rows)
     if r == 0:
         raise DegenerateMapError("zero resultant: forms share a projective root")
@@ -419,16 +423,7 @@ def resultant_univariate(P, Q):
         return P.lead ** n
     if n == 0:
         return Q.lead ** m
-    size = m + n
-    mat = [[0] * size for _ in range(size)]
-    # rows: coefficient of X^(size-1-j); first n rows shifts of P, next m of Q
-    for i in range(n):
-        for k in range(m + 1):
-            mat[i + k][i] = P.coeffs[m - k]
-    for i in range(m):
-        for k in range(n + 1):
-            mat[i + k][n + i] = Q.coeffs[n - k]
-    return _bareiss(mat)[0]
+    return _bareiss(_sylvester(P.coeffs[::-1], Q.coeffs[::-1]))[0]
 
 
 def discriminant(P):

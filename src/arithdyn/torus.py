@@ -157,8 +157,9 @@ def monomial_pushforward(x: TorusPoint, exponents):
     cloud = EmpiricalMeasure(prods)
 
     total_deg = 1
-    for c in x.coords:
-        total_deg *= c.degree if isinstance(c, AlgebraicNumber) else 1
+    for c, e in zip(x.coords, a):
+        if e and isinstance(c, AlgebraicNumber):
+            total_deg *= c.degree
     if total_deg <= EXACT_PRODUCT_DEGREE_CAP:
         poly = _product_polynomial(x.coords, a).squarefree_part()
         xi = AlgebraicNumber(poly)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arithdyn.cli import main
 
@@ -232,6 +234,114 @@ class TestRejections:
         code, data = self.rejected(["baker", "--map", POWER2,
                                     "--points-file", str(cloud)], capsys)
         assert code == 1 and data["error"] == "ValueError"
+
+    BOUNDARY_CASES = [
+        ("baker-no-points", ["baker", "--map", POWER2], 2),
+        ("baker-both-points", ["baker", "--map", POWER2, "--roots-of-unity",
+                               "8", "--points-file", "cloud.csv"], 2),
+        ("torus-height-no-coords", ["torus", "height"], 2),
+        ("torus-push-no-exp", ["torus", "push", "--coords",
+                               '[{"rational":"2"}]'], 2),
+        ("enumerate-negative-k", ["enumerate", "--k", "-1", "--B", "1"], 2),
+        ("schanuel-negative-k", ["schanuel", "--k", "-2", "--B", "10"], 2),
+        ("tdiam-negative-restarts", ["tdiam", "--map", POWER2, "--n", "3",
+                                     "--restarts", "-1"], 1),
+        ("tdiam-power-map-no-restarts", ["tdiam", "--map", POWER2, "--n", "3",
+                                         "--restarts", "0"], 1),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", [c[1:] for c in BOUNDARY_CASES],
+                             ids=[c[0] for c in BOUNDARY_CASES])
+    def test_rejected_at_the_boundary(self, argv, expected, capsys):
+        code, _ = self.rejected(argv, capsys)
+        assert code == expected
+
+
+# README's CLI examples, with grids, Fekete problems and counts small
+# enough that every variant below runs in well under a second
+README_EXAMPLES = [
+    ["canheight", "--map", Z2P1, "--point", "0/1", "--tol", "1e-8",
+     "--method", "both"],
+    ["preperiodic", "--map", POWER2],
+    ["mahler", "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1"],
+    ["height", "--point", "3:5:-7"],
+    ["enumerate", "--k", "1", "--B", "2.3", "--out", "points.csv"],
+    ["schanuel", "--k", "1", "--B", "1000"],
+    ["algheight", "--poly=-2,0,0,1"],
+    ["rou", "--poly", "1,0,-1,0,1"],
+    ["goodred", "--map", '{"d":2,"U":[1,0,0],"V":[0,0,2]}'],
+    ["julia-sample", "--map", Z2P1, "--nx", "5", "--ny", "5",
+     "--out", "grid.csv"],
+    ["tdiam", "--map", POWER2, "--n", "2", "--restarts", "2"],
+    ["discrepancy", "--poly=-2,0,1", "--power-d", "2"],
+    ["baker", "--map", POWER2, "--roots-of-unity", "64"],
+    ["bilu", "--family", "primitive:101", "--exponents", "1,2,3,4,5",
+     "--out", "moments.csv"],
+    ["energy", "--map", POWER2, "--cloud", "cloud.csv"],
+    ["annulus", "--poly=-2,0,0,1", "--r", "1.5"],
+    ["torus", "height", "--coords", '[{"rational":"2"},{"rational":"1/2"}]'],
+    ["torus", "push", "--coords", '[{"rational":"2"},{"rational":"3"}]',
+     "--exp", "1,-1"],
+    ["torus", "subadd", "--alpha", "2", "--beta", "3"],
+]
+TOKENS = ["-1", "0", "1", "2", "nan", "inf", "x", ""]
+
+
+def _options(argv):
+    """Indices of the options in argv (`--name value` or `--name=value`)."""
+    return [i for i, a in enumerate(argv) if a.startswith("--")]
+
+
+def _mutate(argv, i, token):
+    """argv with the option at i dropped (token None) or its value replaced."""
+    name, eq, _ = argv[i].partition("=")
+    if eq:
+        return argv[:i] + ([] if token is None else [f"{name}={token}"]) \
+            + argv[i + 1:]
+    return argv[:i] + ([] if token is None else [name, token]) + argv[i + 2:]
+
+
+@pytest.fixture(scope="module")
+def cli_workdir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cli")
+    (work / "cloud.csv").write_text(
+        "re,im\n" + "".join(f"{math.cos(2 * math.pi * k / 8)!r},"
+                            f"{math.sin(2 * math.pi * k / 8)!r}\n"
+                            for k in range(8)))
+    return work
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_generated_argv_ends_in_payload_or_error(data, cli_workdir, capsys,
+                                                  monkeypatch):
+    """Every README example with one option dropped or given a token from a
+    small pool ends in exit 0 and a schema-valid payload, or in exit 1/2 and
+    the error object; no exception escapes main()."""
+    import jsonschema
+    from arithdyn.cli import load_schema
+    argv = data.draw(st.sampled_from(README_EXAMPLES))
+    i = data.draw(st.sampled_from(_options(argv)))
+    argv = _mutate(argv, i, data.draw(st.sampled_from([None] + TOKENS)))
+    monkeypatch.chdir(cli_workdir)   # for the files the examples write
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # usage errors, from the parser
+        code = exc.code
+    out = capsys.readouterr().out.strip().splitlines()
+
+    def refuse(token):
+        raise ValueError(f"non-JSON number {token}")
+
+    data_out = json.loads(out[-1], parse_constant=refuse)
+    if code == 0:
+        schema = ({"type": "object"} if argv[0] == "torus"
+                  else load_schema(argv[0]))
+    else:
+        assert code in (1, 2)
+        schema = load_schema("error")
+    jsonschema.validate(data_out, schema)
 
 
 class TestSchemas:

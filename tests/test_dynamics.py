@@ -215,7 +215,9 @@ class TestCanonicalHeightLocal:
 
 class TestIndependentOracles:
     """Pin the interval machinery against raw high-precision iteration and
-    pure exact-integer orbits (independent of _iv_eval_form)."""
+    pure exact-integer orbits.  The raw iteration sums the coefficients
+    itself, independent of `BinaryForm.__call__`, which the interval
+    kernels use."""
 
     def test_escape_rate_against_raw_iteration(self):
         import mpmath as mpm
@@ -225,10 +227,15 @@ class TestIndependentOracles:
                            ((1, 2, 0), (0, 1, 1), -4, 3)):
             f = make_map(u, v)
             K = 30
+
+            def form(F, X, Y):
+                return sum(c * X ** (F.degree - i) * Y ** i
+                           for i, c in enumerate(F.coeffs))
+
             with mpm.workdps(80):
                 X, Y = mpm.mpf(a), mpm.mpf(b)
                 for _ in range(K):
-                    X, Y = f.U(X, Y), f.V(X, Y)
+                    X, Y = form(f.U, X, Y), form(f.V, X, Y)
                 raw = float(mpm.log(max(abs(X), abs(Y))) / mpm.mpf(2) ** K)
             val, err = escape_rate_exact_pair(f, a, b, 1e-10)
             tail = f.compacity_tail_constant() / 2 ** K

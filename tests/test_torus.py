@@ -106,6 +106,16 @@ class TestPushforward:
         assert res.minpoly is not None
         assert res.height == pytest.approx(math.log(2), abs=1e-11)
 
+    def test_zero_exponent_coordinate_not_counted_toward_cap(self):
+        # degrees 2 * 2 of the used coordinates are under the cap; the
+        # degree-5 coordinate has exponent 0 and must not count
+        golden = AlgebraicNumber(IntPoly((-1, -1, 1)))
+        fifth = AlgebraicNumber(IntPoly((-2, 0, 0, 0, 0, 1)))
+        res = monomial_pushforward(TorusPoint((golden, SQRT2, fifth)),
+                                   (1, 1, 0))
+        assert res.minpoly == IntPoly((4, 0, -6, 0, 1))
+        assert res.height == pytest.approx(0.413892707669788, abs=1e-12)
+
     def test_large_degree_cloud_only(self):
         big = AlgebraicNumber(IntPoly((-2, 0, 0, 0, 0, 1)))  # degree 5
         res = monomial_pushforward(TorusPoint((big, big, big)), (1, 1, 1))
