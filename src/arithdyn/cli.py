@@ -326,20 +326,24 @@ def cmd_annulus(args):
             "satisfied": obs <= bound + 1e-12}
 
 
+def _torus_coord_ok(item):
+    if not isinstance(item, dict):
+        return False
+    if "rational" in item:
+        return isinstance(item["rational"], str) or _is_int(item["rational"])
+    cs = item.get("minpoly")
+    return isinstance(cs, list) and all(map(_is_int, cs))
+
+
 def _parse_torus_coords(s):
     items = json.loads(s)
-    if not isinstance(items, list) or not all(
-            isinstance(item, dict) and ("rational" in item or "minpoly" in item)
-            for item in items):
+    if not isinstance(items, list) or not all(map(_torus_coord_ok, items)):
         raise InvalidInputError('coordinates are a JSON list of {"rational": '
-                                '...} or {"minpoly": [...]} objects')
-    out = []
-    for item in items:
-        if "rational" in item:
-            out.append(Fraction(item["rational"]))
-        else:
-            out.append(AlgebraicNumber(IntPoly([int(c) for c in item["minpoly"]])))
-    return TorusPoint(out)
+                                '"a/b" or integer} or {"minpoly": [integers]} '
+                                'objects')
+    return TorusPoint([Fraction(item["rational"]) if "rational" in item
+                       else AlgebraicNumber(IntPoly(item["minpoly"]))
+                       for item in items])
 
 
 def cmd_torus(args):
@@ -470,7 +474,9 @@ def build_parser():
     p = add("tdiam", cmd_tdiam, help="transfinite diameter via Fekete points")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=int, default=32,
+                   help="power maps: random starts (>= 1); other maps: "
+                        "restarts + 1 pools of backward-orbit points")
     p.add_argument("--tol", type=positive_float, default=1e-10)
 
     p = add("discrepancy", cmd_discrepancy,
@@ -523,7 +529,8 @@ def main(argv=None):
     try:
         payload = args.func(args)
         text = _dumps(payload)
-    except (InvalidInputError, ValueError, OSError, RuntimeError) as exc:
+    except (InvalidInputError, ValueError, ZeroDivisionError, OSError,
+            RuntimeError) as exc:
         print(_dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
     print(text)

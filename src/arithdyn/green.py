@@ -10,9 +10,10 @@ compacity inequality; the pairing
 
 is scale-invariant and symmetric, +infinity on the diagonal.  Fekete
 configurations maximize the product of |x_i y_j - x_j y_i| over the filled
-Julia set; points are kept on the boundary Lambda = 0 by exact radial
-scaling, so the objective is the pairwise log-distance sum minus
-2(n-1) sum Lambda.
+Julia set.  The objective, the pairwise log-distance sum minus
+2(n-1) sum Lambda, is unchanged when one point is scaled, so it is
+evaluated at affine points (z, 1); power maps optimize on the unit circle,
+general maps select points of backward orbits, which lie on the Julia set.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from scipy.optimize import minimize
 
 from .algebraic import AlgebraicNumber, height_algebraic
 from .dynamics import RationalMap
-from .errors import InvalidInputError, UnsupportedScopeError
+from .errors import (InvalidInputError, ResourceLimitError,
+                     UnsupportedScopeError)
 from .numutil import factorize
 from .polyforms import discriminant, vp
 
@@ -272,6 +274,9 @@ def height_discrepancy_check(xi: AlgebraicNumber, d=2, tol=1e-12):
 # Fekete points / transfinite diameter
 # ---------------------------------------------------------------------------
 
+FEKETE_POOL = 4096  # backward-orbit points per pool, and the largest n
+
+
 @dataclass
 class TransfiniteDiameterResult:
     n: int
@@ -292,61 +297,38 @@ def _circle_objective(theta):
     return -F, -np.sum(cot, axis=1)
 
 
-def _julia_backward_samples(f: RationalMap, n, rng, burn=40, stride=10):
-    """Sample near the Julia set by random backward iteration."""
+def _julia_backward_samples(f: RationalMap, n, rng):
+    """n consecutive points of one random backward orbit, after a burn-in
+    of 40 steps that carries the start onto the Julia set."""
     d = f.degree
     ucoef = [complex(c) for c in f.U.coeffs]
     vcoef = [complex(c) for c in f.V.coeffs]
-
-    def preimages(w):
-        # roots of U(z,1) - w V(z,1)
+    w = complex(rng.normal(), rng.normal())
+    out = []
+    for _ in range(40 + n):
+        # a random root of U(z,1) - w V(z,1); a fresh start if there is none
         cs = [ucoef[i] - w * vcoef[i] for i in range(d + 1)]
         while cs and abs(cs[0]) < 1e-300:
             cs = cs[1:]
-        if len(cs) < 2:
-            return None
-        return np.roots(cs)
-
-    w = complex(rng.normal(), rng.normal())
-    for _ in range(burn):
-        pre = preimages(w)
-        if pre is None or len(pre) == 0:
+        pre = np.roots(cs) if len(cs) >= 2 else ()
+        if len(pre) == 0:
             w = complex(rng.normal(), rng.normal())
-            continue
-        w = complex(pre[rng.integers(len(pre))])
-    out = []
-    for _ in range(n):
-        for _ in range(stride):
-            pre = preimages(w)
-            if pre is None or len(pre) == 0:
-                w = complex(rng.normal(), rng.normal())
-                continue
+        else:
             w = complex(pre[rng.integers(len(pre))])
         out.append(w)
-    return np.array(out, dtype=complex)
+    return np.array(out[40:], dtype=complex)
 
 
-def _general_objective(params, n, field):
-    z = params[:n] + 1j * params[n:]
-    diff = z[:, None] - z[None, :]
-    adist = np.abs(diff) + np.eye(n)
-    if np.min(adist) < 1e-13:
-        return 1e12, np.zeros(2 * n)
-    h = 1e-7
-    # Lambda at z and at the four central-difference stencils in one call;
-    # escape_vec works element by element, so batching changes no value
-    lam, lxp, lxm, lyp, lym = field.escape_vec(
-        np.concatenate([z, z + h, z - h, z + 1j * h, z - 1j * h]),
-        np.ones(5 * n)).reshape(5, n)
-    F = 2 * np.sum(np.triu(np.log(adist), 1)) - 2 * (n - 1) * np.sum(lam)
-    W = diff / (adist * adist)
-    np.fill_diagonal(W, 0)
-    gz = 2 * np.sum(W, axis=1)
-    glr = (lxp - lxm) / (2 * h)
-    gli = (lyp - lym) / (2 * h)
-    gx = gz.real - 2 * (n - 1) * glr
-    gy = gz.imag - 2 * (n - 1) * gli
-    return -F, -np.concatenate([gx, gy])
+def _fekete_pools(field, restarts, seed):
+    """restarts + 1 pools of distinct backward-orbit points, each with
+    Lambda(z, 1) at its points."""
+    rng = np.random.default_rng(seed)
+    pools = []
+    for _ in range(restarts + 1):
+        # a repeated point would make the kernel -inf
+        pool = np.unique(_julia_backward_samples(field.map, FEKETE_POOL, rng))
+        pools.append((pool, field.escape_vec(pool, np.ones(len(pool)))))
+    return pools
 
 
 def _config_objective(field, z):
@@ -357,8 +339,9 @@ def _config_objective(field, z):
     return 2 * np.sum(np.triu(np.log(diff), 1)) - 2 * (n - 1) * np.sum(lam)
 
 
-def _discrete_fekete(field, pool, n):
-    """n points of `pool` maximizing the weighted pairwise kernel.
+def _discrete_fekete(pool, lam, n):
+    """n points of `pool` (distinct points, with Lambda(z, 1) in `lam`)
+    maximizing the weighted pairwise kernel.
 
     The kernel log|z_i - z_j| - Lambda(z_i) - Lambda(z_j) sums to half the
     Fekete objective.  Greedy Leja selection from the pool point of largest
@@ -366,9 +349,6 @@ def _discrete_fekete(field, pool, n):
     weights matter for maps that are not polynomials, where Lambda(z, 1) is
     not zero on the Julia set.
     """
-    pool = np.unique(pool)  # a repeated point would make the kernel -inf
-    lam = field.escape_vec(pool, np.ones(len(pool)))
-
     def kernel(j):
         with np.errstate(divide="ignore"):
             k = np.log(np.abs(pool - pool[j])) - lam - lam[j]
@@ -414,78 +394,81 @@ def _greedy_delete(field, config, target):
     return cfg
 
 
+def _check_fekete_problem(field, n, restarts):
+    if n < 2:
+        raise InvalidInputError("need n >= 2")
+    # power maps have no pool, only their random starts
+    if restarts < 0 or (restarts == 0 and field.map.is_unit_power_pair()):
+        raise InvalidInputError("no start configuration: need restarts >= 1 "
+                                "(>= 0 for maps other than power maps)")
+    if n > FEKETE_POOL:
+        raise ResourceLimitError(FEKETE_POOL, f"n = {n} exceeds the "
+                                 f"{FEKETE_POOL} points of a Fekete pool")
+
+
+def _fekete_result(field, n, objective, config, converged):
+    d = field.degree
+    formula = abs(field.map.res) ** (-1.0 / (d * (d - 1)))
+    delta = math.exp(objective / (n * (n - 1)))
+    return TransfiniteDiameterResult(n, delta, formula, converged, config)
+
+
+def _pool_fekete(field, n, pools, warm_configs):
+    """The best of the discrete Fekete configurations of the pools and of
+    the warm configurations shrunk to n points."""
+    cands = []
+    for pool, lam in pools:
+        if len(pool) < n:
+            raise ResourceLimitError(len(pool), f"a Fekete pool has only "
+                                     f"{len(pool)} distinct points, n = {n}")
+        cands.append((_discrete_fekete(pool, lam, n), True))
+    cands += [(np.array(_greedy_delete(field, cfg, n)), False)
+              for cfg in warm_configs if len(cfg) >= n]
+    best, best_cfg, converged = -math.inf, None, False
+    for z, exchanged in cands:
+        val = _config_objective(field, z)
+        if val > best and np.isfinite(val):
+            best, best_cfg, converged = val, list(z), exchanged
+    return _fekete_result(field, n, best, best_cfg, converged)
+
+
 def transfinite_diameter(field: EscapeRateField, n, restarts=32, seed=0,
-                         maxiter=600, warm_configs=()):
+                         warm_configs=()):
     """Fekete estimate of delta_n over the filled Julia set, with the
     closed-form limit |Res|^(-1/d(d-1)) for comparison.
 
-    Power maps use angular coordinates on the distinguished boundary (the
-    optimum sits at |x| = |y| = 1); general maps optimize affine positions
-    with radial scaling to Lambda = 0 folded into the objective, seeded by
-    random backward orbits plus any `warm_configs` (larger configurations
-    are shrunk by best-deletion, which preserves delta monotonicity).  One
-    more start is a discrete Fekete configuration: n points of a
-    4096-point backward orbit, chosen by Leja selection and single-point
-    exchanges.  It lies on the Julia set, where the maximizers sit and
-    where Lambda is not differentiable, so gradient polishing alone stalls
-    short of them.
+    Power maps run `restarts` L-BFGS-B searches in angular coordinates on
+    the distinguished boundary, where the optimum sits at |x| = |y| = 1.
+    Other maps select n points of each of `restarts` + 1 pools of 4096
+    backward-orbit points on the Julia set, by weighted Leja selection and
+    single-point exchanges; no gradient search follows, since Lambda is not
+    differentiable there.  For them each of `warm_configs` with at least n
+    points, shrunk by best-deletion (which keeps sweeps monotone), is one
+    more candidate.  The candidate of largest value wins.
 
-    `delta_n` is the value of the returned `config`; `converged` is True
-    when that configuration is the end of an L-BFGS-B run that reported
-    success.
+    `delta_n` is the value of the returned `config`.  `converged` is True
+    when that configuration ended its search: an L-BFGS-B run that reported
+    success, or an exchange loop, so that no single exchange within its
+    pool improves it.  It is False when a warm configuration wins.  n above
+    4096, or a pool with fewer than n distinct points, raises
+    ResourceLimitError.
     """
-    if n < 2:
-        raise InvalidInputError("need n >= 2")
-    f = field.map
-    # power maps have no discrete Fekete start, only the random ones
-    if restarts < 0 or (restarts == 0 and f.is_unit_power_pair()):
-        raise InvalidInputError("no start configuration: need restarts >= 1 "
-                                "(>= 0 for maps other than power maps)")
-    d = field.degree
-    formula = abs(f.res) ** (-1.0 / (d * (d - 1)))
+    _check_fekete_problem(field, n, restarts)
+    if not field.map.is_unit_power_pair():
+        return _pool_fekete(field, n, _fekete_pools(field, restarts, seed),
+                            warm_configs)
     rng = np.random.default_rng(seed)
-    best = -math.inf
-    best_cfg = None
-    converged = False
-    if f.is_unit_power_pair():
-        for _ in range(restarts):
-            th0 = rng.uniform(0, 2 * math.pi, n)
-            res = minimize(_circle_objective, th0, jac=True, method="L-BFGS-B",
-                           options=dict(maxiter=maxiter, ftol=1e-18, gtol=1e-14))
-            if -res.fun > best:
-                best = -res.fun
-                best_cfg = [cmath.exp(1j * t) for t in res.x]
-                converged = res.success
-        delta = math.exp(2 * best / (n * (n - 1)))
-        return TransfiniteDiameterResult(n, delta, formula, converged, best_cfg)
-
-    starts = []
-    for cfg in warm_configs:
-        if len(cfg) >= n:
-            starts.append(np.array(_greedy_delete(field, cfg, n)))
+    best, best_cfg, converged = -math.inf, None, False
     for _ in range(restarts):
-        starts.append(_julia_backward_samples(f, n, rng))
-    # drawn after the random starts so that those stay as seeded
-    pool = _julia_backward_samples(f, 4096, rng, stride=1)
-    starts.append(_discrete_fekete(field, pool, n))
-    for z0 in starts:
-        p0 = np.concatenate([z0.real, z0.imag])
-        res = minimize(_general_objective, p0, args=(n, field), jac=True,
-                       method="L-BFGS-B", options=dict(maxiter=maxiter))
-        # score res.x itself: after an ABNORMAL exit, res.fun may differ
-        polished = res.x[:n] + 1j * res.x[n:]
-        cand = _config_objective(field, polished)
-        raw = _config_objective(field, z0)
-        if raw > cand:  # keep the unpolished start if the polish regressed
-            cand, cfg, ok = raw, list(np.asarray(z0)), False
-        else:
-            cfg, ok = list(polished), res.success
-        if cand > best and np.isfinite(cand):
-            best = cand
-            best_cfg = cfg
-            converged = ok
-    delta = math.exp(best / (n * (n - 1)))
-    return TransfiniteDiameterResult(n, delta, formula, converged, best_cfg)
+        th0 = rng.uniform(0, 2 * math.pi, n)
+        res = minimize(_circle_objective, th0, jac=True, method="L-BFGS-B",
+                       options=dict(maxiter=600, ftol=1e-18, gtol=1e-14))
+        if -res.fun > best:
+            best = -res.fun
+            best_cfg = [cmath.exp(1j * t) for t in res.x]
+            converged = res.success
+    # _circle_objective counts each pair once
+    return _fekete_result(field, n, 2 * best, best_cfg, converged)
 
 
 def transfinite_diameter_sweep(field: EscapeRateField, ns, restarts=32,
@@ -494,15 +477,20 @@ def transfinite_diameter_sweep(field: EscapeRateField, ns, restarts=32,
 
     Running largest-n first and shrinking its Fekete configuration keeps
     the reported sequence nonincreasing whenever the optimizer is at least
-    as good as best-deletion (the paper's monotonicity mechanism).
+    as good as best-deletion (the paper's monotonicity mechanism).  Each n
+    gets what `transfinite_diameter` gives when warm-started from the
+    previous configuration; the pools are drawn once for every n.
     """
-    out = {}
-    warm = []
-    for n in sorted(set(ns), reverse=True):
-        res = transfinite_diameter(field, n, restarts=restarts, seed=seed,
-                                   warm_configs=warm)
-        out[n] = res
-        warm = [res.config]
+    ns = sorted(set(ns), reverse=True)
+    if field.map.is_unit_power_pair():
+        return {n: transfinite_diameter(field, n, restarts, seed) for n in ns}
+    for n in ns:
+        _check_fekete_problem(field, n, restarts)
+    pools = _fekete_pools(field, restarts, seed)
+    out, warm = {}, []
+    for n in ns:
+        out[n] = _pool_fekete(field, n, pools, warm)
+        warm = [out[n].config]
     return out
 
 

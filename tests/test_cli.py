@@ -248,6 +248,20 @@ class TestRejections:
                                      "--restarts", "-1"], 1),
         ("tdiam-power-map-no-restarts", ["tdiam", "--map", POWER2, "--n", "3",
                                          "--restarts", "0"], 1),
+        ("tdiam-power-map-n-above-pool", ["tdiam", "--map", POWER2,
+                                          "--n", "5000"], 1),
+        ("tdiam-n-above-pool", ["tdiam", "--map", Z2P1, "--n", "5000"], 1),
+        ("torus-height-null-rational", ["torus", "height", "--coords",
+                                        '[{"rational": null}]'], 1),
+        ("torus-height-int-minpoly", ["torus", "height", "--coords",
+                                      '[{"minpoly": 5}]'], 1),
+        ("torus-height-zero-denominator", ["torus", "height", "--coords",
+                                           '[{"rational": "1/0"}]'], 1),
+        ("torus-height-float-minpoly", ["torus", "height", "--coords",
+                                        '[{"minpoly": [1.5, 2]}]'], 1),
+        ("torus-subadd-zero-denominator", ["torus", "subadd", "--alpha", "1/0",
+                                           "--beta", "2"], 1),
+        ("height-zero-denominator", ["height", "--point", "1/0:1:1"], 1),
     ]
 
     @pytest.mark.parametrize("argv,expected", [c[1:] for c in BOUNDARY_CASES],

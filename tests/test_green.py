@@ -11,13 +11,15 @@ import pytest
 
 from arithdyn.algebraic import AlgebraicNumber, cyclotomic_number
 from arithdyn.dynamics import RationalMap
-from arithdyn.errors import InvalidInputError, UnsupportedScopeError
+from arithdyn.errors import (InvalidInputError, ResourceLimitError,
+                             UnsupportedScopeError)
 from arithdyn.green import (INF, EmpiricalMeasure, EscapeRateField,
                             annulus_mass_bound, baker_fit_constant,
                             baker_mean_pairing, bilu_moment_test, discrepancy,
                             discrete_energy, escape_rate,
                             filled_julia_membership, g_pairing,
-                            height_discrepancy_check, transfinite_diameter)
+                            height_discrepancy_check, transfinite_diameter,
+                            transfinite_diameter_sweep)
 from arithdyn.polyforms import BinaryForm, IntPoly, cyclotomic, discriminant
 
 
@@ -253,7 +255,6 @@ class TestTransfiniteDiameter:
         assert res.formula_value == 1.0
 
     def test_monotone_decreasing_z2p1(self):
-        from arithdyn.green import transfinite_diameter_sweep
         field = EscapeRateField(Z2P1, tol=1e-10)
         sweep = transfinite_diameter_sweep(field, (5, 8, 12), restarts=10,
                                            seed=2)
@@ -291,8 +292,9 @@ class TestTransfiniteDiameter:
         assert res.delta_n >= ref - 1e-3
 
     def test_reports_the_value_of_its_configuration(self):
-        # z - 1/z: this polish ends ABNORMAL, where scipy's res.fun is not
-        # the objective at res.x; delta_12 must be the value of `config`
+        # z - 1/z, whose Lambda(z, 1) is not zero on its Julia set:
+        # delta_12 must be the value of `config` under the raw-iteration
+        # oracle, weights included
         n = 12
         res = transfinite_diameter(EscapeRateField(ZM1Z, tol=1e-10), n,
                                    restarts=2, seed=775654026)
@@ -305,29 +307,54 @@ class TestTransfiniteDiameter:
 
     def test_converged_describes_the_reported_configuration(self, monkeypatch):
         import arithdyn.green as green
-        runs = []
+        ends = []
 
-        def recording(fun, x0, **kwargs):
-            res = minimize(fun, x0, **kwargs)
-            runs.append((np.array(x0), res))
-            return res
+        def recording(pool, lam, n):
+            z = discrete_fekete(pool, lam, n)
+            ends.append(z)
+            return z
 
-        minimize = green.minimize
-        monkeypatch.setattr(green, "minimize", recording)
+        discrete_fekete = green._discrete_fekete
+        monkeypatch.setattr(green, "_discrete_fekete", recording)
         n = 20
-        res = transfinite_diameter(EscapeRateField(Z2P1, tol=1e-10), n,
-                                   restarts=4, seed=7)
-        cfg = np.array(res.config)
-        polished = [r for _, r in runs
-                    if np.array_equal(r.x[:n] + 1j * r.x[n:], cfg)]
-        starts = [r for x0, r in runs
-                  if np.array_equal(x0[:n] + 1j * x0[n:], cfg)]
-        assert polished or starts
-        assert res.converged == any(r.success for r in polished)
-        # here the best configuration is a start whose polish ended ABNORMAL
-        # without moving it
-        assert not any(r.success for r in polished + starts)
-        assert res.converged is False
+        field = EscapeRateField(Z2P1, tol=1e-10)
+        res = transfinite_diameter(field, n, restarts=4, seed=7)
+        assert len(ends) == 5  # one exchange loop per pool
+        assert any(np.array_equal(z, res.config) for z in ends)
+        assert res.converged is True
+        # that configuration comes from pool 1, which a single-pool run
+        # with the same seed does not draw: given as a warm configuration
+        # it wins there, though no exchange loop of that run ended in it
+        ends.clear()
+        warm = transfinite_diameter(field, n, restarts=0, seed=7,
+                                    warm_configs=[res.config])
+        assert len(ends) == 1
+        assert not np.array_equal(ends[0], warm.config)
+        assert warm.config == res.config and warm.delta_n == res.delta_n
+        assert warm.converged is False
+
+    def test_sweep_is_a_chain_of_warm_started_calls(self):
+        field = EscapeRateField(ZM1Z, tol=1e-10)
+        sweep = transfinite_diameter_sweep(field, (4, 9, 6), restarts=2,
+                                           seed=0)
+        assert list(sweep) == [9, 6, 4]
+        assert not sweep[4].converged  # the shrunk delta_6 configuration wins
+        warm = []
+        for n in (9, 6, 4):
+            res = transfinite_diameter(field, n, restarts=2, seed=0,
+                                       warm_configs=warm)
+            assert res == sweep[n]
+            warm = [res.config]
+
+    def test_pool_with_too_few_distinct_points(self, monkeypatch):
+        import arithdyn.green as green
+        # a pool of 10 distinct points cannot supply 12
+        monkeypatch.setattr(green, "_julia_backward_samples",
+                            lambda f, n, rng: np.resize(np.arange(10.0), n))
+        with pytest.raises(ResourceLimitError):
+            transfinite_diameter(EscapeRateField(Z2P1), 12, restarts=0)
+        assert transfinite_diameter(EscapeRateField(Z2P1), 10,
+                                    restarts=0).converged
 
 
 class TestEnergy:
