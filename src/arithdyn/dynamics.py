@@ -19,10 +19,14 @@ algorithms are provided:
 
 Cross-asserting the two is the intended bug detector; the local route is
 authoritative, the global route is the oracle.  Below the two routes the
-pieces are shared: forms are evaluated by `BinaryForm.__call__` (on exact
-integers and on mpmath intervals alike), exact orbits come from `iterate`,
-and both interval computations are certified by one doubling iv.prec
-ladder, `_iv_ladder`, the only code that sets mpmath's interval precision.
+pieces are shared: exact orbits come from `iterate`, and both interval
+computations run one kernel, `_renormalized_orbit`, on fixed-point integer
+intervals at an explicit scale 2^P, renormalized by exact powers of two.
+`_orbit_log_enclosure` closes it with libmp logs of 2, of the bad primes
+and of the final magnitude, each at a given precision and rounding
+direction, and doubles P until the radius meets the tolerance; mpmath's
+global precision is never read or set.  Bounds computed in floats are
+rounded up.
 """
 
 from __future__ import annotations
@@ -30,13 +34,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
-import mpmath as mpm
+from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
+                          mpf_div, mpf_log, mpf_mul, mpf_sub, to_float)
+from mpmath.libmp import round_ceiling as UP
+from mpmath.libmp import round_floor as DOWN
+from mpmath.libmp import round_nearest as NEAREST
 
 from .errors import (DegenerateMapError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import factorize
-from .polyforms import (MP_PRECISION_LOCK, BinaryForm, kept_on_instance,
+from .numutil import factorize, float_up, log_up
+from .polyforms import (BinaryForm, kept_on_instance,
                         nullstellensatz_cofactors, resultant)
 from .projective import (ProjPointQ, _hmax_from_log_bound, count_points,
                          enumerate_points)
@@ -50,9 +59,10 @@ PREPERIODIC_ENUM_CAP = 500_000   # points under the Northcott bound
 class RationalMap:
     """Endomorphism of P^1 given by coprime integer forms of degree d >= 2.
 
-    The factorization of Res(U, V), the Nullstellensatz cofactors and the
-    constants derived from them are computed once and kept on the instance
-    (not fields, so equality, hashing and repr ignore them).
+    The factorization of Res(U, V), the largest Nullstellensatz cofactor
+    coefficient and the constants derived from them are computed once and
+    kept on the instance (not fields, so equality, hashing and repr ignore
+    them).
     """
 
     U: BinaryForm
@@ -100,12 +110,10 @@ class RationalMap:
         return iu is not None and iv is not None and {iu, iv} == {0, self.degree}
 
     @kept_on_instance
-    def cofactors(self):
-        return nullstellensatz_cofactors(self.U, self.V)
-
-    @kept_on_instance
     def max_cofactor_coeff(self):
-        ax, bx, ay, by, _ = self.cofactors()
+        """Largest |coefficient| of the Nullstellensatz cofactors, the only
+        part of them the constants use (so the forms are not kept)."""
+        ax, bx, ay, by, _ = nullstellensatz_cofactors(self.U, self.V)
         return max(max(abs(c) for c in g.coeffs) for g in (ax, bx, ay, by))
 
     @kept_on_instance
@@ -116,13 +124,13 @@ class RationalMap:
         is the coefficient-sum bound and c_lower = log(2 d max|cofactor|):
         the cofactor identity gives |Res| max^(2d-1) <= 2d max|cof| max^(d-1)
         max(|U|,|V|), and the gcd of (U, V) at a coprime point divides Res,
-        which re-absorbs the log|Res| term.
+        which re-absorbs the log|Res| term.  Both are rounded up.
         """
         if self.is_unit_power_pair():
             return 0.0, 0.0
-        c_up = math.log(max(sum(abs(c) for c in self.U.coeffs),
-                            sum(abs(c) for c in self.V.coeffs)))
-        c_lo = math.log(2 * self.degree * self.max_cofactor_coeff())
+        c_up = log_up(max(sum(abs(c) for c in self.U.coeffs),
+                          sum(abs(c) for c in self.V.coeffs)))
+        c_lo = log_up(2 * self.degree * self.max_cofactor_coeff())
         return c_up, c_lo
 
     @kept_on_instance
@@ -130,16 +138,16 @@ class RationalMap:
         """C with |Lambda(x,y) - log max(|x|,|y|)| <= C on C^2 minus 0.
 
         From c_lo^-1 max^d <= max(|U|,|V|) <= c_up max^d one gets
-        C = max(log c_up, log c_lo)/(d-1); exactly zero for unit power pairs.
+        C = max(log c_up, log c_lo)/(d-1), rounded up; exactly zero for unit
+        power pairs.
         """
         if self.is_unit_power_pair():
             return 0.0
-        c_up = max(sum(abs(c) for c in self.U.coeffs),
-                   sum(abs(c) for c in self.V.coeffs))
+        c_up, _ = self.functoriality_constants()
         c_lo = Fraction(2 * self.degree * self.max_cofactor_coeff(),
                         abs(self.res))
-        step = max(math.log(c_up), math.log(max(c_lo, 1)))
-        return step / (self.degree - 1)
+        step = max(c_up, log_up(max(c_lo, 1)))
+        return float_up(Fraction(step) / (self.degree - 1))
 
     def compose(self, other: "RationalMap"):
         """self after other, as a normalized RationalMap."""
@@ -226,171 +234,160 @@ def padic_gcd_valuations(f: RationalMap, x: ProjPointQ, p, K):
     whole ledger costs O(K v_p(Res)) digits instead of the d^K digits of the
     exact orbit.
     """
-    R = 0
-    r = abs(f.res)
-    while r % p == 0:
-        r //= p
-        R += 1
+    R = dict(f.res_factors).get(p, 0)
     if R == 0:
         return [0] * K
-    m = (R + 1) * (K + 2) + 4
-    mod = p ** m
-    a, b = x.coords
-    a %= mod
-    b %= mod
+    mod = p ** ((R + 1) * (K + 2) + 4)
+    a, b = x.coords[0] % mod, x.coords[1] % mod
     vals = []
-
-    def val_capped(n, cap):
-        if n == 0:
-            return cap
-        v = 0
-        while n % p == 0 and v < cap:
-            n //= p
-            v += 1
-        return v
-
     for _ in range(K):
-        A = f.U(a, b) % mod
-        B = f.V(a, b) % mod
-        v = min(val_capped(A, R + 1), val_capped(B, R + 1))
+        A, B = f.U(a, b) % mod, f.V(a, b) % mod
+        v = 0             # min(v_p(A), v_p(B)), capped at R + 1
+        while v <= R and A % p ** (v + 1) == 0 and B % p ** (v + 1) == 0:
+            v += 1
         if v > R:
             raise RuntimeError("gcd valuation must divide the resultant")
         vals.append(v)
         if v:
-            m -= v
-            mod = p ** m
-            A //= p ** v
-            B //= p ** v
+            mod //= p ** v
+            A, B = A // p ** v, B // p ** v
         a, b = A % mod, B % mod
     return vals
 
 
 def orbit_gcds(f: RationalMap, x: ProjPointQ, K):
     """The exact reduction gcds g_1..g_K, assembled from p-adic tracks."""
-    vals = {p: padic_gcd_valuations(f, x, p, K) for p in f.bad_primes}
-    out = []
-    for k in range(K):
-        g = 1
-        for p in f.bad_primes:
-            g *= p ** vals[p][k]
-        out.append(g)
-    return out
+    vals = [padic_gcd_valuations(f, x, p, K) for p in f.bad_primes]
+    return [math.prod(p ** v[k] for p, v in zip(f.bad_primes, vals))
+            for k in range(K)]
 
 
 # ---------------------------------------------------------------------------
-# interval renormalized iterations
+# renormalized iterations on fixed-point integer intervals
 # ---------------------------------------------------------------------------
+
+LADDER_RUNGS = 8                 # P ladder rungs before a route gives up
+
 
 class _IntervalBlowup(Exception):
     pass
 
 
-def _iv_max_abs(a, b):
-    """max(|a|, |b|) from the interval endpoints themselves, so the
-    enclosure holds at any global mp precision; _IntervalBlowup when it
-    may contain 0 (the renormalization would divide by it)."""
-    aa, bb = abs(a), abs(b)
-    m = mpm.iv.mpf([max(aa.a, bb.a), max(aa.b, bb.b)])
-    if not m.a > 0:
+def _mul(x, y, P):
+    ps = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(ps) >> P, -(-max(ps) >> P)
+
+
+def _shift_down(x, e):
+    """x / 2^e, rounded outward."""
+    return (x[0] << -e, x[1] << -e) if e <= 0 else (x[0] >> e, -(-x[1] >> e))
+
+
+def _max_abs(x, y):
+    """Enclosure of max(|x|, |y|); _IntervalBlowup when it may contain 0
+    (renormalizing would divide by it)."""
+    lo = max(x[0], -x[1], y[0], -y[1])
+    if lo <= 0:
         raise _IntervalBlowup()
-    return m
+    return lo, max(-x[0], x[1], -y[0], y[1])
 
 
-def _iv_mid(x):
-    # a float, not an mpf: it enters interval arithmetic exactly, where an
-    # mpf would be rounded to the caller's global mp precision
-    return float(x.mid.a)
+def _form(coeffs, mono):
+    # c m has its lower end at c m_lo when c > 0 and at c m_hi when c < 0
+    return (sum(c * m[c < 0] for c, m in zip(coeffs, mono) if c),
+            sum(c * m[c > 0] for c, m in zip(coeffs, mono) if c))
 
 
-def _escape_rate_interval(f: RationalMap, a, b, K):
-    """Interval enclosure of Lambda(a, b) after K renormalized steps.
+def _renormalized_orbit(f: RationalMap, a, b, K, P):
+    """K renormalized steps of (U, V) from the integer pair (a, b).
 
-    Uses Lambda(u, v) = (1/d)(log t + Lambda(U(u,v)/t, V(u,v)/t)) with exact
-    rescales t, and closes with the compacity tail
-    |Lambda(u,v) - log max(|u|,|v|)| <= C.
+    (a, b) = 2^e_0 (u_0, v_0) and (U, V)(u_k, v_k) = 2^e_(k+1) (u_(k+1),
+    v_(k+1)), each e_k read off the interval so that the new point lies in
+    the unit box.  Returns (n, m) with n = sum_k e_k d^(K-k) and m the
+    enclosure of max(|u_K|, |v_K|) at scale 2^P.
     """
     d = f.degree
-    tail_c = f.compacity_tail_constant()
-    s = max(abs(a), abs(b))
-    total = mpm.iv.log(mpm.iv.mpf(s))
-    u = mpm.iv.mpf(a) / s
-    v = mpm.iv.mpf(b) / s
-    scale = mpm.iv.mpf(1)
-    dd = mpm.iv.mpf(d)
+    used = [c or c2 for c, c2 in zip(f.U.coeffs, f.V.coeffs)]
+    n = max(abs(a), abs(b)).bit_length()
+    u, v = _shift_down((a << P, a << P), n), _shift_down((b << P, b << P), n)
     for _ in range(K):
-        A, B = f.U(u, v), f.V(u, v)
-        m = _iv_max_abs(A, B)
-        scale = scale / dd
-        t = _iv_mid(m)
-        total += scale * mpm.iv.log(mpm.iv.mpf(t))
-        u = A / t
-        v = B / t
-    m = _iv_max_abs(u, v)
-    tail = mpm.iv.log(m) + mpm.iv.mpf([-tail_c, tail_c])
-    return total + scale * tail
+        pu, pv = [None, u], [None, v]    # powers 1..d, shared by U and V
+        for _ in range(d - 1):
+            pu.append(_mul(pu[-1], u, P))
+            pv.append(_mul(pv[-1], v, P))
+        mono = [pu[d]] + [_mul(pu[d - i], pv[i], P) if used[i] else None
+                          for i in range(1, d)] + [pv[d]]
+        A, B = _form(f.U.coeffs, mono), _form(f.V.coeffs, mono)
+        e = _max_abs(A, B)[1].bit_length() - P
+        u, v = _shift_down(A, e), _shift_down(B, e)
+        n = n * d + e
+    return n, _max_abs(u, v)
 
 
-def _iv_ladder(box_at, tol, prec, rungs, scale=1):
-    """(midpoint/scale, radius/scale) of the interval `box_at()` at the
-    first iv.prec of prec, 2 prec, 4 prec, ... (`rungs` of them) whose
-    scaled radius is at most tol; None when none is.  A rung whose interval
-    blows up counts as failed.  Holds MP_PRECISION_LOCK and restores the
-    caller's iv.prec.
+def _orbit_log_enclosure(f: RationalMap, a, b, K, tol, terms=(), tail=0.0,
+                         D=1):
+    """(midpoint, radius <= tol) of the interval
+
+        (n log 2 + sum n_q log q + log max(|u_K|, |v_K|) + [-tail, tail]) / D
+
+    for n, u_K, v_K from `_renormalized_orbit` and integer pairs (n_q, q) in
+    `terms`, at the first P of a doubling ladder whose radius (rounded up)
+    meets tol; None when none of LADDER_RUNGS does, or at once when
+    tail / D > tol.  P starts at a value that grows with K log2 d: the
+    intervals widen by about d per step.
     """
-    with MP_PRECISION_LOCK:
-        old = mpm.iv.prec
+    if Fraction(tail) > Fraction(tol) * D:   # the radius is at least tail/D
+        return None
+    P = 64 + math.ceil(2 * K * math.log2(f.degree))
+    for _ in range(LADDER_RUNGS):
         try:
-            for _ in range(rungs):
-                mpm.iv.prec = prec
-                try:
-                    box = box_at()
-                    err = float(box.delta.b) / 2 / scale
-                    if err <= tol:
-                        return _iv_mid(box) / scale, err
-                except _IntervalBlowup:
-                    pass
-                prec *= 2
-        finally:
-            mpm.iv.prec = old
+            n, m = _renormalized_orbit(f, a, b, K, P)
+        except _IntervalBlowup:
+            P *= 2
+            continue
+        prec, t = P + 20, from_float(tail)
+        lo = mpf_sub(mpf_log(from_man_exp(m[0], -P), prec, DOWN), t, prec,
+                     DOWN)
+        hi = mpf_add(mpf_log(from_man_exp(m[1], -P), prec, UP), t, prec, UP)
+        for nq, q in ((n, 2), *terms):
+            q = from_int(q)
+            logs = mpf_log(q, prec, DOWN), mpf_log(q, prec, UP)
+            lo = mpf_add(lo, mpf_mul(from_int(nq), logs[nq < 0], prec, DOWN),
+                         prec, DOWN)
+            hi = mpf_add(hi, mpf_mul(from_int(nq), logs[nq >= 0], prec, UP),
+                         prec, UP)
+        lo, hi = mpf_div(lo, from_int(D), prec, DOWN), \
+            mpf_div(hi, from_int(D), prec, UP)
+        radius = to_float(mpf_sub(hi, lo, prec, UP), rnd=UP) / 2
+        if radius <= tol:
+            mid = to_float(mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2
+            return mid, radius
+        P *= 2
     return None
 
 
+def _horner(vals, d):
+    """sum_k vals[k-1] d^(K-k) for K = len(vals)."""
+    return reduce(lambda n, v: n * d + v, vals, 0)
+
+
 def escape_rate_exact_pair(f: RationalMap, a, b, tol):
-    """(value, error) enclosure of Lambda(a, b) for integer a, b, error <= tol."""
+    """(value, error) enclosure of Lambda(a, b) for integer a, b, error <= tol.
+
+    Lambda(u, v) = (1/d)(log t + Lambda(U(u,v)/t, V(u,v)/t)) for any t > 0,
+    here t = 2^e; after K steps the compacity tail
+    |Lambda(u, v) - log max(|u|, |v|)| <= C closes the sum.
+    """
     d = f.degree
     tail_c = f.compacity_tail_constant()
     K = 1
     while (tail_c + 2.0) / (d ** K) > tol / 4 and K < 300:
         K += 1
-    found = _iv_ladder(lambda: _escape_rate_interval(f, a, b, K), tol,
-                       prec=80, rungs=10)
+    found = _orbit_log_enclosure(f, a, b, K, tol, tail=tail_c, D=d ** K)
     if found is None:
-        raise ResourceLimitError(80 * 2 ** 10,
+        raise ResourceLimitError(LADDER_RUNGS,
                                  "escape-rate certification stalled")
     return found
-
-
-def _reduced_orbit_log_height_interval(f: RationalMap, a, b, steps, gcds):
-    """Enclosure of h(x_n) = log max coords of the reduced orbit endpoint.
-
-    (a, b) is an exact coprime start, `gcds` the exact reduction gcds for
-    the `steps` steps ahead (from p-adic tracking).  Tracks log-magnitude as
-    an interval so coordinates never materialize.
-    """
-    d = f.degree
-    s = max(abs(a), abs(b))
-    S = mpm.iv.log(mpm.iv.mpf(s))
-    u = mpm.iv.mpf(a) / s
-    v = mpm.iv.mpf(b) / s
-    for k in range(steps):
-        A, B = f.U(u, v), f.V(u, v)
-        m = _iv_max_abs(A, B)
-        t = _iv_mid(m)
-        S = d * S + mpm.iv.log(mpm.iv.mpf(t)) - mpm.iv.log(mpm.iv.mpf(gcds[k]))
-        u = A / t
-        v = B / t
-    m = _iv_max_abs(u, v)
-    return S + mpm.iv.log(m)
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +403,14 @@ class GlobalHeightResult:
     note: str = ""
 
 
-def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8,
-                            digit_budget=DIGIT_BUDGET):
+def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8):
     """hhat(x) = d^-n h(f^n x) at the first n with c_max/(d^n (d-1)) <= tol.
 
     The exact phase is `iterate` up to n, stopped early once a coordinate
-    passes EXACT_PHASE_BITS bits (or the digit budget); a cycle
-    short-circuits to exactly 0.  From the point where it stopped the orbit
-    is continued with certified interval logs (per-step gcds from p-adic
-    tracks), so the tolerance is still met; `budget_exhausted` is set only
-    if even that fails.
+    passes EXACT_PHASE_BITS bits; a cycle short-circuits to exactly 0.  From
+    the point where it stopped the orbit is continued on fixed-point
+    intervals (per-step gcds from p-adic tracks), so the tolerance is still
+    met; `budget_exhausted` is set only if even that fails.
     """
     d = f.degree
     c_up, c_lo = f.functoriality_constants()
@@ -425,12 +420,11 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8,
                                   note="exact multiplicative map")
     n_star = max(0, math.ceil(math.log(c_max / (tol * (d - 1))) / math.log(d)))
 
-    trunc = c_max / (d ** n_star * (d - 1))
+    trunc = float_up(Fraction(c_max) / (d ** n_star * (d - 1)))
     # exact phase: the reduced orbit while coordinates stay small
     # (EXACT_PHASE_BITS is read at call time, so it can be patched)
     rec = iterate(f, x, n_max=n_star,
-                  height_cap=EXACT_PHASE_BITS * math.log(2),
-                  digit_budget=digit_budget)
+                  height_cap=EXACT_PHASE_BITS * math.log(2))
     k = len(rec.points) - 1
     if rec.status == "cycle":
         return GlobalHeightResult(0.0, 0.0, k, note="preperiodic (cycle)")
@@ -438,19 +432,22 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8,
     if k == n_star:
         return GlobalHeightResult(end.height() / d ** n_star, trunc, n_star)
 
-    # interval continuation from the exact handoff point
+    # interval continuation from the exact handoff point: with
+    # (a_k, b_k) = T_k (u_k, v_k), log T_k = d log T_(k-1) + e_k log 2
+    # - log g_k, and every gcd g_k is a product of bad primes
     a, b = end.coords
     remaining = n_star - k
-    gcds = orbit_gcds(f, end, remaining)
-    found = _iv_ladder(
-        lambda: _reduced_orbit_log_height_interval(f, a, b, remaining, gcds),
-        tol, prec=120 + 2 * remaining, rungs=8, scale=d ** n_star)
+    gcd_logs = [(-_horner(padic_gcd_valuations(f, end, p, remaining), d), p)
+                for p in f.bad_primes]
+    found = _orbit_log_enclosure(f, a, b, remaining, tol, gcd_logs,
+                                 D=d ** n_star)
     if found is not None:
         value, err = found
-        return GlobalHeightResult(value, trunc + err, n_star)
+        return GlobalHeightResult(value, float_up(Fraction(trunc) + err),
+                                  n_star)
     return GlobalHeightResult(end.height() / d ** k,
-                              c_max / (d ** k * (d - 1)), k,
-                              budget_exhausted=True,
+                              float_up(Fraction(c_max) / (d ** k * (d - 1))),
+                              k, budget_exhausted=True,
                               note="interval continuation stalled")
 
 
@@ -491,26 +488,23 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
         h = x.height()
         return LocalHeightLedger({}, (h, 0.0), h, 0.0)
 
-    n_fin = len(f.bad_primes)
-    fin_budget = tol / 2 / max(n_fin, 1)
+    fin_budget = tol / 2 / max(len(f.bad_primes), 1)
     finite = {}
-    fin_err = 0.0
+    fin_err = Fraction(0)
     for p, R in f.res_factors:
-        target = fin_budget
         K = 1
-        while R * math.log(p) / (d ** K * (d - 1)) > target and K < 400:
+        while R * math.log(p) / (d ** K * (d - 1)) > fin_budget and K < 400:
             K += 1
-        vals = padic_gcd_valuations(f, x, p, K)
-        coeff = -sum(Fraction(v, d ** (k + 1)) for k, v in enumerate(vals))
-        tail = R * math.log(p) / (d ** K * (d - 1))
+        coeff = -Fraction(_horner(padic_gcd_valuations(f, x, p, K), d), d ** K)
+        tail = float_up(R * Fraction(log_up(p)) / (d ** K * (d - 1)))
         finite[p] = (coeff, tail)
-        fin_err += tail
+        fin_err += Fraction(tail)
 
     arch_val, arch_err = escape_rate_exact_pair(f, a, b, tol / 2)
     total = arch_val + sum(float(c) * math.log(p)
                            for p, (c, _) in finite.items())
     return LocalHeightLedger(finite, (arch_val, arch_err), total,
-                             arch_err + fin_err)
+                             float_up(arch_err + fin_err))
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +512,11 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 def northcott_bound(f: RationalMap):
-    """Height bound c_max (2d-1)/(d-1)^2 for rational preperiodic points."""
+    """Height bound c_max (2d-1)/(d-1)^2, rounded up, for rational
+    preperiodic points."""
     d = f.degree
     c_up, c_lo = f.functoriality_constants()
-    return max(c_up, c_lo) * (2 * d - 1) / (d - 1) ** 2
+    return float_up(Fraction(max(c_up, c_lo)) * (2 * d - 1) / (d - 1) ** 2)
 
 
 def preperiodic_points_rational(f: RationalMap, cap=PREPERIODIC_ENUM_CAP):

@@ -1,12 +1,23 @@
-"""Small integer-arithmetic helpers: factorization and primality.
+"""Small integer-arithmetic helpers: factorization, primality and floats
+rounded upward.
 
-Deterministic Miller-Rabin below 3.3e24 plus Pollard rho keeps resultants of
-desk-scale maps factorable without external dependencies.
+Deterministic Miller-Rabin below 3.3e24 plus Brent's variant of Pollard rho,
+under an iteration budget, keeps resultants of desk-scale maps factorable
+without external dependencies.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+
+from mpmath.libmp import (from_int, mpf_div, mpf_log, round_ceiling,
+                          to_float)
+
+from .errors import ResourceLimitError
+
+RHO_BUDGET = 1 << 20    # polynomial steps per factorization, about 1 s
+RHO_BATCH = 128         # differences multiplied together per gcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -14,7 +25,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n):
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -34,20 +45,39 @@ def is_prime(n):
     return True
 
 
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
+def _brent_rho(n, budget):
+    """(factor, steps): a nontrivial factor of the odd composite n by
+    Brent's cycle finding (BIT 20, 1980), one gcd per RHO_BATCH products of
+    differences; ResourceLimitError once more than `budget` steps are due."""
+    steps = 0
     for c in range(1, 50):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise RuntimeError(f"factorization failed for {n}")
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            if steps > budget:
+                raise ResourceLimitError(RHO_BUDGET, "factorization of a "
+                                         f"{n.bit_length()}-bit number "
+                                         f"exceeds {RHO_BUDGET} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, RHO_BATCH):
+                ys = y
+                for _ in range(min(RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            steps += 2 * r
+            r *= 2
+        if g == n:   # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, steps
+    raise ResourceLimitError(RHO_BUDGET, f"no rho polynomial splits {n}")
 
 
 def factorize(n):
@@ -61,6 +91,7 @@ def factorize(n):
             out[p] = out.get(p, 0) + 1
             n //= p
     stack = [n] if n > 1 else []
+    budget = RHO_BUDGET
     while stack:
         m = stack.pop()
         if m == 1:
@@ -68,7 +99,22 @@ def factorize(n):
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, steps = _brent_rho(m, budget)   # m is odd: 2 was divided out
+        budget -= steps
         stack.extend([d, m // d])
     return out
 
+
+def float_up(q):
+    """The least float >= the rational q (an int, Fraction or float)."""
+    x = float(q)           # correctly rounded
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def log_up(q):
+    """A float >= log q for a rational q > 0, from a libmp logarithm
+    rounded toward +infinity."""
+    q = Fraction(q)
+    x = mpf_div(from_int(q.numerator), from_int(q.denominator), 64,
+                round_ceiling)
+    return to_float(mpf_log(x, 64, round_ceiling), rnd=round_ceiling)

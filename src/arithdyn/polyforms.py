@@ -265,7 +265,7 @@ class BinaryForm:
     def __call__(self, x, y):
         """sum c_i x^(d-i) y^i from power tables of x and y, skipping zero
         coefficients; x, y may be ints, Fractions, mpmath numbers or
-        intervals, or numpy arrays."""
+        numpy arrays."""
         d = self.degree
         xp, yp = [1], [1]
         for _ in range(d):

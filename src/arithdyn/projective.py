@@ -16,6 +16,7 @@ import mpmath as mpm
 
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
                      ResourceLimitError)
+from .numutil import log_up
 from .polyforms import BinaryForm, nullstellensatz_cofactors
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
@@ -323,9 +324,9 @@ def functoriality_constants(f: HomMorphism):
     c_upper = log max_i sum |coefficients of f_i| (triangle inequality).
     c_lower is exact for permuted-coordinate unit power maps (zero) and, on
     P^1, derived from integer Nullstellensatz cofactors; for k >= 2 it is
-    None (reported unavailable rather than estimated).
+    None (reported unavailable rather than estimated).  Logs are rounded up.
     """
-    c_upper = math.log(max(form.abs_coeff_sum() for form in f.forms))
+    c_upper = log_up(max(form.abs_coeff_sum() for form in f.forms))
     # unit monomial maps on any P^k: coordinates map to x_sigma(i)^d, the
     # image of a coprime tuple is coprime and the max is max^d, so c = 0.
     if all(form.is_unit_monomial() for form in f.forms) \
@@ -348,7 +349,7 @@ def functoriality_constants(f: HomMorphism):
         # |Res| x^(2d-1) = A U + B V and gcd(U,V)(a,b) divides Res, so the
         # full height drop is bounded by log(2d max|cof|) after the gcd
         # division re-absorbs log|Res|.
-        c_lower = math.log(2 * d * maxcof)
+        c_lower = log_up(2 * d * maxcof)
         return c_upper, c_lower
     return c_upper, None
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -165,6 +166,19 @@ class TestErrorHandling:
     def test_domain_error_exits_1(self, capsys):
         code, data = run_cli(["mahler", "--poly", "0"], capsys)
         assert code == 1 and "error" in data
+
+    def test_unfactorable_resultant_exits_1(self):
+        # Res of this map has a 131-bit cofactor that rho cannot split
+        # within its budget; factorization must stop, not run on
+        hard = ('{"d":4,"U":[-715337,817236,-190296,-616583,315427],'
+                '"V":[-676755,-348182,905102,-521046,715054]}')
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "arithdyn.cli", "canheight", "--map", hard,
+             "--point", "1/1"], capture_output=True, text=True, timeout=60)
+        assert time.monotonic() - start < 10
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
 
     def test_degenerate_map_exits_1(self, capsys):
         code, data = run_cli(

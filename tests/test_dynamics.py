@@ -464,27 +464,42 @@ class TestSharedObjectsAcrossThreads:
 class TestIntervalEnclosures:
     """The certified escape rate must not depend on the global mp precision."""
 
-    @staticmethod
-    def endpoints(x):
-        import mpmath as mpm
-        return tuple(Fraction(*mpm.libmp.to_rational(e)) for e in x._mpi_)
-
     def test_max_abs_encloses(self):
-        import mpmath as mpm
+        from arithdyn.dynamics import _max_abs
+        P = 80
 
-        from arithdyn.dynamics import _iv_max_abs
-        with mpm.workprec(53):
-            old = mpm.iv.prec
+        def enclose(q):   # the fixed-point interval [q]_P, rounded outward
+            return (q.numerator << P) // q.denominator, \
+                -((-q.numerator << P) // q.denominator)
+
+        third = Fraction(1, 3)
+        for a, b, want in ((third, Fraction(1, 7), third),
+                           (Fraction(-1, 9), -third, third),
+                           (Fraction(2, 3), third, Fraction(2, 3))):
+            lo, hi = _max_abs(enclose(a), enclose(b))
+            assert Fraction(lo, 1 << P) <= want <= Fraction(hi, 1 << P)
+
+    def test_renormalized_orbit_encloses_exact_iterate(self):
+        # (u_K, v_K) = F^K(a, b) / 2^n exactly, so at a low P, where every
+        # product rounds, the kernel's magnitude must enclose the exact one
+        from arithdyn.dynamics import _IntervalBlowup, _renormalized_orbit
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(60):
+            f = random_map(rng, d=rng.randint(2, 4), cmax=9)
+            a, b = rng.randint(-50, 50), rng.randint(1, 50)
+            K, P = rng.randint(1, 4), rng.choice((12, 16, 24))
             try:
-                mpm.iv.prec = 80
-                third = mpm.iv.mpf(1) / 3
-                for a, b, want in ((third, mpm.iv.mpf(1) / 7, Fraction(1, 3)),
-                                   (mpm.iv.mpf(-1) / 9, -third, Fraction(1, 3)),
-                                   (mpm.iv.mpf(2) / 3, third, Fraction(2, 3))):
-                    lo, hi = self.endpoints(_iv_max_abs(a, b))
-                    assert lo <= want <= hi
-            finally:
-                mpm.iv.prec = old
+                n, (lo, hi) = _renormalized_orbit(f, a, b, K, P)
+            except _IntervalBlowup:
+                continue
+            X, Y = a, b
+            for _ in range(K):
+                X, Y = f.U(X, Y), f.V(X, Y)
+            exact = Fraction(max(abs(X), abs(Y)), 1) / Fraction(2) ** n
+            assert Fraction(lo, 1 << P) <= exact <= Fraction(hi, 1 << P)
+            checked += 1
+        assert checked >= 40
 
     def test_escape_rate_independent_of_global_precision(self):
         import mpmath as mpm
@@ -497,3 +512,145 @@ class TestIntervalEnclosures:
                     with mpm.workprec(prec):
                         assert escape_rate_exact_pair(f, a, b, 1e-10) \
                             == default
+
+
+def raw_canonical_height(f, a, b, tol):
+    """(Lambda_inf(a, b), hhat([a:b]), error bound <= tol/64) by raw
+    iteration, independent of the library's kernels: Lambda_inf =
+    d^-K log max(|X_K|, |Y_K|) for the unreduced iterate at 100 digits
+    (within C d^-K by the compacity inequality), and the finite places
+    -sum_k d^-k v_p(g_k) log p from the gcd valuations of the reduced orbit,
+    tracked modulo a power of p (within v_p(Res) log p d^-K/(d-1))."""
+    import mpmath as mpm
+    d = f.degree
+    C = f.compacity_tail_constant()
+    fin_tail = sum(R * math.log(p) for p, R in f.res_factors) / (d - 1)
+    K = 1
+    while (C + fin_tail) / d ** K > tol / 64:
+        K += 1
+
+    def form(F, X, Y):
+        return sum(c * X ** (F.degree - i) * Y ** i
+                   for i, c in enumerate(F.coeffs))
+
+    with mpm.workdps(100):
+        X, Y = mpm.mpf(a), mpm.mpf(b)
+        for _ in range(K):
+            X, Y = form(f.U, X, Y), form(f.V, X, Y)
+        lam = mpm.log(max(abs(X), abs(Y))) / mpm.mpf(d) ** K
+        hhat = lam
+        for p, R in f.res_factors:
+            mod = p ** (R * (K + 2) + 2)
+            A, B = a % mod, b % mod
+            for k in range(1, K + 1):
+                A, B = form(f.U, A, B) % mod, form(f.V, A, B) % mod
+                v = 0
+                while A % p ** (v + 1) == 0 and B % p ** (v + 1) == 0:
+                    v += 1
+                mod //= p ** v
+                A, B = A // p ** v % mod, B // p ** v % mod
+                hhat -= v * mpm.log(p) / mpm.mpf(d) ** k
+        return float(lam), float(hhat), (C + fin_tail) / d ** K
+
+
+class TestFixedPointKernelOracle:
+    """Both routes of the fixed-point interval kernel against raw
+    100-digit iteration, within the error each reports."""
+
+    # a degree-3 map whose intervals widen about 7x per step (K = 29 at
+    # tol 1e-12), which overflowed a fixed 80-bit start
+    WIDE3 = ((-1, 8, 5, -6), (-6, 6, 2, -6))
+
+    @staticmethod
+    def check(f, a, b, tol):
+        from arithdyn.dynamics import escape_rate_exact_pair
+        lam, hhat, slack = raw_canonical_height(f, a, b, tol)
+        val, err = escape_rate_exact_pair(f, a, b, tol)
+        assert err <= tol and abs(val - lam) <= err + slack
+        g = canonical_height_global(f, ProjPointQ((a, b)), tol)
+        assert not g.budget_exhausted and g.error <= tol
+        assert abs(g.value - hhat) <= g.error + slack
+        loc = canonical_height_local(f, ProjPointQ((a, b)), tol)
+        assert loc.total_error <= tol
+        assert abs(loc.total - hhat) <= loc.total_error + slack
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_random_maps_degree_2_to_5(self, tol):
+        rng = random.Random(71)
+        for d in (2, 3, 4, 5):
+            for _ in range(3):
+                f = random_map(rng, d=d, cmax=7)
+                a, b = rng.randint(-30, 30), rng.randint(1, 30)
+                g = math.gcd(a, b)
+                self.check(f, a // g, b // g, tol)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_fast_widening_degree_3_map(self, tol):
+        self.check(make_map(*self.WIDE3), 33, 26, tol)
+
+    def test_unreachable_tolerance_fails_fast(self):
+        # K stops at 300, where the compacity tail alone exceeds 1e-300
+        import time
+
+        from arithdyn.dynamics import escape_rate_exact_pair
+        from arithdyn.errors import ResourceLimitError
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError):
+            escape_rate_exact_pair(Z2P1, 1, 3, 1e-300)
+        assert time.monotonic() - start < 1
+
+    def test_global_start_above_exact_phase(self):
+        import arithdyn.dynamics as dyn
+        f = make_map((2, -1, 3), (1, 1, 1))
+        a, b = 2 ** 4100 + 1, 3 ** 2600
+        assert ProjPointQ((a, b)).height() > dyn.EXACT_PHASE_BITS * math.log(2)
+        for tol in (1e-6, 1e-12):
+            g = canonical_height_global(f, ProjPointQ((a, b)), tol)
+            assert g.n_used > 0 and not g.budget_exhausted
+            _, hhat, slack = raw_canonical_height(f, a, b, tol)
+            assert g.error <= tol and abs(g.value - hhat) <= g.error + slack
+
+
+class TestBoundsRoundedUp:
+    """Each float bound is at least its formula evaluated at 60 digits, and
+    at most a few ulps above it."""
+
+    @staticmethod
+    def above(bound, exact):
+        import mpmath as mpm
+        with mpm.workdps(60):
+            assert mpm.mpf(bound) >= exact
+            assert mpm.mpf(bound) <= exact * (1 + mpm.mpf(2) ** -50)
+
+    def test_fifty_random_maps(self):
+        import mpmath as mpm
+        rng = random.Random(97)
+        for j in range(50):
+            f = random_map(rng, d=2 + j % 4, cmax=9)
+            d = f.degree
+            with mpm.workdps(60):
+                s = max(sum(abs(c) for c in f.U.coeffs),
+                        sum(abs(c) for c in f.V.coeffs))
+                cof = 2 * d * f.max_cofactor_coeff()
+                c_up, c_lo = mpm.log(s), mpm.log(cof)
+                c_res = max(mpm.mpf(cof) / abs(f.res), 1)
+                C = max(mpm.log(s), mpm.log(c_res)) / (d - 1)
+                c_max = max(c_up, c_lo)
+            got_up, got_lo = f.functoriality_constants()
+            self.above(got_up, c_up)
+            self.above(got_lo, c_lo)
+            self.above(f.compacity_tail_constant(), C)
+            self.above(northcott_bound(f), c_max * (2 * d - 1) / (d - 1) ** 2)
+            x = ProjPointQ((rng.randint(-9, 9), rng.randint(1, 9)))
+            g = canonical_height_global(f, x, 1e-6)
+            if g.note == "":
+                with mpm.workdps(60):
+                    trunc = c_max / (mpm.mpf(d) ** g.n_used * (d - 1))
+                    assert g.error >= trunc
+            led = canonical_height_local(f, x, 1e-6)
+            for p, (_, tail) in led.finite_places.items():
+                R = dict(f.res_factors)[p]
+                with mpm.workdps(60):
+                    unit = R * mpm.log(p) / (d - 1)
+                    K = int(mpm.nint(mpm.log(unit / tail) / mpm.log(d)))
+                self.above(tail, unit / mpm.mpf(d) ** K)

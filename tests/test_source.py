@@ -89,3 +89,22 @@ def f():
     locked, unlocked = _precision_changes(ast.parse(src))
     assert unlocked == [4, 5, 10]
     assert locked == [7, 8]
+
+
+def test_dynamics_leaves_mpmath_precision_alone():
+    # the canonical-height kernels run on fixed-point integer intervals and
+    # pass precision and rounding direction to mpmath.libmp explicitly, so
+    # dynamics needs neither mpmath's global contexts nor the lock
+    path = next(p for p in SOURCES if p.name == "dynamics.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _precision_changes(tree) == ([], [])
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names]
+    modules += [n.module for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module]
+    assert [m for m in modules if m.startswith("mpmath")] \
+        and all(m == "mpmath.libmp" for m in modules if m.startswith("mpmath"))
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not attrs & {"iv", "mp", "workdps", "workprec", "MP_PRECISION_LOCK"}
+    assert not names & {"mpm", "mpmath", "MP_PRECISION_LOCK"}
