@@ -23,10 +23,10 @@ pieces are shared: exact orbits come from `iterate`, and both interval
 computations run one kernel, `_renormalized_orbit`, on fixed-point integer
 intervals at an explicit scale 2^P, renormalized by exact powers of two.
 `_orbit_log_enclosure` closes it with libmp logs of 2, of the bad primes
-and of the final magnitude, each at a given precision and rounding
-direction, and doubles P until the radius meets the tolerance; mpmath's
-global precision is never read or set.  Bounds computed in floats are
-rounded up.
+and of the final magnitude (`numutil.log_bounds`), each at a given
+precision and rounding direction, and doubles P until the radius meets the
+tolerance; mpmath's global precision is never read or set.  Bounds
+computed in floats are rounded up.
 """
 
 from __future__ import annotations
@@ -36,15 +36,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
-                          mpf_div, mpf_log, mpf_mul, mpf_sub, to_float)
+from mpmath.libmp import mpf_add, mpf_sub, to_float
 from mpmath.libmp import round_ceiling as UP
-from mpmath.libmp import round_floor as DOWN
 from mpmath.libmp import round_nearest as NEAREST
 
 from .errors import (DegenerateMapError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import factorize, float_up, log_up
+from .numutil import factorize, float_up, log_bounds, log_up
 from .polyforms import (BinaryForm, kept_on_instance,
                         nullstellensatz_cofactors, resultant)
 from .projective import (ProjPointQ, _hmax_from_log_bound, count_points,
@@ -234,32 +232,55 @@ def padic_gcd_valuations(f: RationalMap, x: ProjPointQ, p, K):
     whole ledger costs O(K v_p(Res)) digits instead of the d^K digits of the
     exact orbit.
     """
-    R = dict(f.res_factors).get(p, 0)
+    R = 0
+    r = abs(f.res)
+    while r % p == 0:
+        r //= p
+        R += 1
     if R == 0:
         return [0] * K
-    mod = p ** ((R + 1) * (K + 2) + 4)
-    a, b = x.coords[0] % mod, x.coords[1] % mod
+    m = (R + 1) * (K + 2) + 4
+    mod = p ** m
+    a, b = x.coords
+    a %= mod
+    b %= mod
     vals = []
-    for _ in range(K):
-        A, B = f.U(a, b) % mod, f.V(a, b) % mod
-        v = 0             # min(v_p(A), v_p(B)), capped at R + 1
-        while v <= R and A % p ** (v + 1) == 0 and B % p ** (v + 1) == 0:
+
+    def val_capped(n, cap):
+        if n == 0:
+            return cap
+        v = 0
+        while n % p == 0 and v < cap:
+            n //= p
             v += 1
+        return v
+
+    for _ in range(K):
+        A = f.U(a, b) % mod
+        B = f.V(a, b) % mod
+        v = min(val_capped(A, R + 1), val_capped(B, R + 1))
         if v > R:
             raise RuntimeError("gcd valuation must divide the resultant")
         vals.append(v)
         if v:
-            mod //= p ** v
-            A, B = A // p ** v, B // p ** v
+            m -= v
+            mod = p ** m
+            A //= p ** v
+            B //= p ** v
         a, b = A % mod, B % mod
     return vals
 
 
 def orbit_gcds(f: RationalMap, x: ProjPointQ, K):
     """The exact reduction gcds g_1..g_K, assembled from p-adic tracks."""
-    vals = [padic_gcd_valuations(f, x, p, K) for p in f.bad_primes]
-    return [math.prod(p ** v[k] for p, v in zip(f.bad_primes, vals))
-            for k in range(K)]
+    vals = {p: padic_gcd_valuations(f, x, p, K) for p in f.bad_primes}
+    out = []
+    for k in range(K):
+        g = 1
+        for p in f.bad_primes:
+            g *= p ** vals[p][k]
+        out.append(g)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +366,8 @@ def _orbit_log_enclosure(f: RationalMap, a, b, K, tol, terms=(), tail=0.0,
         except _IntervalBlowup:
             P *= 2
             continue
-        prec, t = P + 20, from_float(tail)
-        lo = mpf_sub(mpf_log(from_man_exp(m[0], -P), prec, DOWN), t, prec,
-                     DOWN)
-        hi = mpf_add(mpf_log(from_man_exp(m[1], -P), prec, UP), t, prec, UP)
-        for nq, q in ((n, 2), *terms):
-            q = from_int(q)
-            logs = mpf_log(q, prec, DOWN), mpf_log(q, prec, UP)
-            lo = mpf_add(lo, mpf_mul(from_int(nq), logs[nq < 0], prec, DOWN),
-                         prec, DOWN)
-            hi = mpf_add(hi, mpf_mul(from_int(nq), logs[nq >= 0], prec, UP),
-                         prec, UP)
-        lo, hi = mpf_div(lo, from_int(D), prec, DOWN), \
-            mpf_div(hi, from_int(D), prec, UP)
+        prec = P + 20
+        lo, hi = log_bounds(((n, 2), *terms), prec, m, P, tail, D)
         radius = to_float(mpf_sub(hi, lo, prec, UP), rnd=UP) / 2
         if radius <= tol:
             mid = to_float(mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2

@@ -1,5 +1,5 @@
-"""Small integer-arithmetic helpers: factorization, primality and floats
-rounded upward.
+"""Small integer-arithmetic helpers: factorization, primality, floats
+rounded upward and directed bounds on integer combinations of logarithms.
 
 Deterministic Miller-Rabin below 3.3e24 plus Brent's variant of Pollard rho,
 under an iteration budget, keeps resultants of desk-scale maps factorable
@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath.libmp import (from_int, mpf_div, mpf_log, round_ceiling,
-                          to_float)
+from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
+                          mpf_div, mpf_log, mpf_mul, mpf_sub, to_float)
+from mpmath.libmp import round_ceiling as UP
+from mpmath.libmp import round_floor as DOWN
 
 from .errors import ResourceLimitError
+from .polyforms import MP_PRECISION_LOCK
 
 RHO_BUDGET = 1 << 20    # polynomial steps per factorization, about 1 s
 RHO_BATCH = 128         # differences multiplied together per gcd
@@ -25,7 +28,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n):
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -111,10 +114,38 @@ def float_up(q):
     return x if Fraction(x) >= q else math.nextafter(x, math.inf)
 
 
+def log_bounds(terms, prec, m=(1, 1), P=0, tail=0.0, D=1):
+    """libmp mpfs (lo, hi), rounded outward at prec bits, bounding
+
+        (sum n_q log q + log x + [-tail, tail]) / D,   x in [m_lo, m_hi] / 2^P,
+
+    for integer pairs (n_q, q > 0) in `terms` and integers 0 < m_lo <= m_hi.
+
+    libmp keeps log 2 in a module-level cache that it grows without
+    synchronization (a reader can pair the old cache precision with the new
+    value), so the logs are taken under MP_PRECISION_LOCK, which every other
+    mpmath block of arithdyn holds too.
+    """
+    t = from_float(tail)
+    with MP_PRECISION_LOCK:
+        lo = mpf_sub(mpf_log(from_man_exp(m[0], -P), prec, DOWN), t, prec,
+                     DOWN)
+        hi = mpf_add(mpf_log(from_man_exp(m[1], -P), prec, UP), t, prec, UP)
+        for nq, q in terms:
+            q = from_int(q)
+            logs = mpf_log(q, prec, DOWN), mpf_log(q, prec, UP)
+            lo = mpf_add(lo, mpf_mul(from_int(nq), logs[nq < 0], prec, DOWN),
+                         prec, DOWN)
+            hi = mpf_add(hi, mpf_mul(from_int(nq), logs[nq >= 0], prec, UP),
+                         prec, UP)
+    return mpf_div(lo, from_int(D), prec, DOWN), \
+        mpf_div(hi, from_int(D), prec, UP)
+
+
 def log_up(q):
-    """A float >= log q for a rational q > 0, from a libmp logarithm
-    rounded toward +infinity."""
+    """A float >= log q for a rational q > 0, from q rounded up to 64 bits."""
     q = Fraction(q)
-    x = mpf_div(from_int(q.numerator), from_int(q.denominator), 64,
-                round_ceiling)
-    return to_float(mpf_log(x, 64, round_ceiling), rnd=round_ceiling)
+    _, man, exp, _ = mpf_div(from_int(q.numerator), from_int(q.denominator),
+                             64, UP)
+    _, hi = log_bounds((), 64, (man, man), -exp)
+    return to_float(hi, rnd=UP)

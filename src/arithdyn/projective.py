@@ -17,7 +17,8 @@ import mpmath as mpm
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
                      ResourceLimitError)
 from .numutil import log_up
-from .polyforms import BinaryForm, nullstellensatz_cofactors
+from .polyforms import (MP_PRECISION_LOCK, BinaryForm,
+                        nullstellensatz_cofactors)
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
 COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entries
@@ -172,7 +173,8 @@ def schanuel_ratio(k, B):
         raise ResourceLimitError(B, f"B = {B} exceeds the cap {COUNT_CAP}")
     Hmax = int(B)
     n = count_points(k, Hmax)
-    zeta = float(mpm.zeta(k + 1))  # well beyond 1e-12 accuracy
+    with MP_PRECISION_LOCK:   # reads mpmath's global precision and caches
+        zeta = float(mpm.zeta(k + 1))  # well beyond 1e-12 accuracy
     return n * zeta / (2 ** k * float(B) ** (k + 1))
 
 

@@ -23,35 +23,35 @@ def test_no_assert_in_library_code():
     assert found == []
 
 
-def _precision_changes(tree):
-    """(locked, unlocked) line numbers of every assignment to an mpmath
-    `.iv`/`.mp` `prec` or `dps` and every `workdps`/`workprec` call, split
-    by whether an enclosing `with` holds MP_PRECISION_LOCK by then."""
+def _name(expr):
+    return getattr(expr, "id", getattr(expr, "attr", None))
+
+
+def _changes_precision(node):
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        return any(isinstance(t, ast.Attribute) and t.attr in ("prec", "dps")
+                   and getattr(t.value, "attr", None) in ("iv", "mp")
+                   for t in targets)
+    return isinstance(node, ast.Call) \
+        and _name(node.func) in ("workdps", "workprec")
+
+
+def _precision_changes(tree, flagged=_changes_precision):
+    """(locked, unlocked) line numbers of the nodes `flagged` accepts (by
+    default every assignment to an mpmath `.iv`/`.mp` `prec` or `dps` and
+    every `workdps`/`workprec` call), split by whether an enclosing `with`
+    holds MP_PRECISION_LOCK by then."""
     out = ([], [])
 
-    def is_lock(expr):
-        return getattr(expr, "id", getattr(expr, "attr", None)) \
-            == "MP_PRECISION_LOCK"
-
-    def changes_precision(node):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = getattr(node, "targets", [getattr(node, "target", None)])
-            return any(isinstance(t, ast.Attribute) and t.attr in ("prec", "dps")
-                       and getattr(t.value, "attr", None) in ("iv", "mp")
-                       for t in targets)
-        if isinstance(node, ast.Call):
-            fn = node.func
-            return getattr(fn, "attr", getattr(fn, "id", None)) \
-                in ("workdps", "workprec")
-        return False
-
     def visit(node, locked):
-        if changes_precision(node):
+        if flagged(node):
             out[not locked].append(node.lineno)
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:   # entered left to right
                 visit(item.context_expr, locked)
-                locked = locked or is_lock(item.context_expr)
+                locked = locked or _name(item.context_expr) \
+                    == "MP_PRECISION_LOCK"
             for stmt in node.body:
                 visit(stmt, locked)
             return
@@ -91,10 +91,40 @@ def f():
     assert locked == [7, 8]
 
 
+def _is_libmp_log(node):
+    return isinstance(node, ast.Call) and _name(node.func) == "mpf_log"
+
+
+def test_libmp_logs_hold_the_lock():
+    # libmp grows its cache of log 2 without synchronization: a log taken
+    # while another thread grows it can pair the old cache precision with
+    # the new value and come out scaled by a power of two
+    locked, unlocked = [], []
+    for p in SOURCES:
+        tree = ast.parse(p.read_text(), filename=str(p))
+        ok, bad = _precision_changes(tree, _is_libmp_log)
+        locked += [f"{p.name}:{n}" for n in ok]
+        unlocked += [f"{p.name}:{n}" for n in bad]
+    assert unlocked == []
+    assert locked
+
+
+def test_libmp_log_check_flags_unlocked_logs():
+    src = """
+def f(x):
+    a = mpf_log(x, 64, DOWN)
+    with MP_PRECISION_LOCK:
+        b = libmp.mpf_log(x, 64, UP)
+    return math.log(a)
+"""
+    assert _precision_changes(ast.parse(src), _is_libmp_log) == ([5], [3])
+
+
 def test_dynamics_leaves_mpmath_precision_alone():
     # the canonical-height kernels run on fixed-point integer intervals and
     # pass precision and rounding direction to mpmath.libmp explicitly, so
-    # dynamics needs neither mpmath's global contexts nor the lock
+    # dynamics needs neither mpmath's global contexts nor the lock (its
+    # libmp logs go through numutil.log_bounds, which holds it)
     path = next(p for p in SOURCES if p.name == "dynamics.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _precision_changes(tree) == ([], [])
