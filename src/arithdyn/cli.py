@@ -245,13 +245,9 @@ def cmd_discrepancy(args):
         raise InvalidInputError("give either --map or --power-d")
     if args.power_d is not None:
         lhs, rhs, gap = height_discrepancy_check(xi, args.power_d, args.tol)
-        d = args.power_d
-        U = [1] + [0] * d
-        V = [0] * d + [1]
-        f = RationalMap.from_json({"d": d, "U": U, "V": V})
-        field = EscapeRateField(f, args.tol)
+        field = EscapeRateField(RationalMap.power(args.power_d), args.tol)
         return {"D_inf": discrepancy(field, xi), "lhs_height": lhs,
-                "rhs_half_sum": rhs, "gap": gap, "power_d": d}
+                "rhs_half_sum": rhs, "gap": gap, "power_d": args.power_d}
     f = parse_map(args.map)
     field = EscapeRateField(f, args.tol)
     return {"D_inf": discrepancy(field, xi), "map": f.to_json()}
@@ -475,8 +471,8 @@ def build_parser():
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=32,
-                   help="power maps: random starts (>= 1); other maps: "
-                        "restarts + 1 pools of backward-orbit points")
+                   help="restarts + 1 pools of backward-orbit points; power "
+                        "maps need none (the n-th roots of unity are exact)")
     p.add_argument("--tol", type=positive_float, default=1e-10)
 
     p = add("discrepancy", cmd_discrepancy,

@@ -24,9 +24,9 @@ computations run one kernel, `_renormalized_orbit`, on fixed-point integer
 intervals at an explicit scale 2^P, renormalized by exact powers of two.
 `_orbit_log_enclosure` closes it with libmp logs of 2, of the bad primes
 and of the final magnitude (`numutil.log_bounds`), each at a given
-precision and rounding direction, and doubles P until the radius meets the
-tolerance; mpmath's global precision is never read or set.  Bounds
-computed in floats are rounded up.
+precision and rounding direction, and doubles P until the reported error
+(measured from the reported float) meets the tolerance; mpmath's global
+precision is never read or set.  Bounds computed in floats are rounded up.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from mpmath.libmp import mpf_add, mpf_sub, to_float
+from mpmath.libmp import from_float, mpf_add, mpf_sub, to_float
 from mpmath.libmp import round_ceiling as UP
+from mpmath.libmp import round_floor as DOWN
 from mpmath.libmp import round_nearest as NEAREST
 
 from .errors import (DegenerateMapError, InvalidInputError,
@@ -58,15 +59,14 @@ class RationalMap:
     """Endomorphism of P^1 given by coprime integer forms of degree d >= 2.
 
     The factorization of Res(U, V), the largest Nullstellensatz cofactor
-    coefficient and the constants derived from them are computed once and
-    kept on the instance (not fields, so equality, hashing and repr ignore
-    them).
+    coefficient and the constants derived from them are computed on first
+    use and kept on the instance (not fields, so equality, hashing and repr
+    depend on U, V and Res only).
     """
 
     U: BinaryForm
     V: BinaryForm
     res: int = field(init=False)
-    bad_primes: tuple = field(init=False)
 
     def __init__(self, U, V):
         if U.degree != V.degree or U.degree < 2:
@@ -83,13 +83,27 @@ class RationalMap:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "res", r)
-        fact = tuple(sorted(factorize(r).items()))
-        object.__setattr__(self, "res_factors", fact)  # ((p, v_p(Res)), ...)
-        object.__setattr__(self, "bad_primes", tuple(p for p, _ in fact))
+
+    @classmethod
+    def power(cls, d):
+        """The unit power map [X^d : Y^d]."""
+        return cls(BinaryForm(d, (1,) + (0,) * d),
+                   BinaryForm(d, (0,) * d + (1,)))
 
     @property
     def degree(self):
         return self.U.degree
+
+    @property
+    @kept_on_instance
+    def res_factors(self):
+        """((p, v_p(Res)), ...) over the primes dividing Res, increasing."""
+        return tuple(sorted(factorize(self.res).items()))
+
+    @property
+    @kept_on_instance
+    def bad_primes(self):
+        return tuple(p for p, _ in self.res_factors)
 
     def apply(self, x: ProjPointQ):
         a, b = x.coords
@@ -345,17 +359,25 @@ def _renormalized_orbit(f: RationalMap, a, b, K, P):
     return n, _max_abs(u, v)
 
 
+def _reported(lo, hi, prec):
+    """(v, e): v the float (lo + hi)/2 rounds to and e the least float >=
+    max(hi - v, v - lo), so that the libmp interval [lo, hi] lies in v +- e."""
+    v = to_float(mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2
+    return v, max(to_float(mpf_sub(hi, from_float(v), prec, UP), rnd=UP),
+                  to_float(mpf_sub(from_float(v), lo, prec, UP), rnd=UP))
+
+
 def _orbit_log_enclosure(f: RationalMap, a, b, K, tol, terms=(), tail=0.0,
                          D=1):
-    """(midpoint, radius <= tol) of the interval
+    """(value, error <= tol) from `_reported` for the interval
 
         (n log 2 + sum n_q log q + log max(|u_K|, |v_K|) + [-tail, tail]) / D
 
     for n, u_K, v_K from `_renormalized_orbit` and integer pairs (n_q, q) in
-    `terms`, at the first P of a doubling ladder whose radius (rounded up)
-    meets tol; None when none of LADDER_RUNGS does, or at once when
-    tail / D > tol.  P starts at a value that grows with K log2 d: the
-    intervals widen by about d per step.
+    `terms`, at the first P of a doubling ladder whose error meets tol;
+    None when none of LADDER_RUNGS does, or at once when tail / D > tol.
+    P starts at a value that grows with K log2 d: the intervals widen by
+    about d per step.
     """
     if Fraction(tail) > Fraction(tol) * D:   # the radius is at least tail/D
         return None
@@ -367,11 +389,10 @@ def _orbit_log_enclosure(f: RationalMap, a, b, K, tol, terms=(), tail=0.0,
             P *= 2
             continue
         prec = P + 20
-        lo, hi = log_bounds(((n, 2), *terms), prec, m, P, tail, D)
-        radius = to_float(mpf_sub(hi, lo, prec, UP), rnd=UP) / 2
-        if radius <= tol:
-            mid = to_float(mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2
-            return mid, radius
+        value, err = _reported(*log_bounds(((n, 2), *terms), prec, m, P, tail,
+                                           D), prec)
+        if err <= tol:
+            return value, err
         P *= 2
     return None
 
@@ -500,7 +521,6 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
 
     fin_budget = tol / 2 / max(len(f.bad_primes), 1)
     finite = {}
-    fin_err = Fraction(0)
     for p, R in f.res_factors:
         K = 1
         while R * math.log(p) / (d ** K * (d - 1)) > fin_budget and K < 400:
@@ -508,13 +528,23 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
         coeff = -Fraction(_horner(padic_gcd_valuations(f, x, p, K), d), d ** K)
         tail = float_up(R * Fraction(log_up(p)) / (d ** K * (d - 1)))
         finite[p] = (coeff, tail)
-        fin_err += Fraction(tail)
 
+    # one directed-rounding enclosure: sum c_p log p, arch value, all errors
     arch_val, arch_err = escape_rate_exact_pair(f, a, b, tol / 2)
-    total = arch_val + sum(float(c) * math.log(p)
-                           for p, (c, _) in finite.items())
-    return LocalHeightLedger(finite, (arch_val, arch_err), total,
-                             float_up(arch_err + fin_err))
+    D = math.lcm(*(c.denominator for c, _ in finite.values()))
+    prec = 117   # 64 bits beyond a double
+    lo, hi = log_bounds([(int(c * D), p) for p, (c, _) in finite.items()],
+                        prec, D=D)
+    val = from_float(arch_val)
+    err = from_float(float_up(sum((Fraction(t) for _, t in finite.values()),
+                                  Fraction(arch_err))))
+    total, total_error = _reported(
+        mpf_sub(mpf_add(lo, val, prec, DOWN), err, prec, DOWN),
+        mpf_add(mpf_add(hi, val, prec, UP), err, prec, UP), prec)
+    if total_error > tol:
+        raise ResourceLimitError(tol, "the tolerance is below the float "
+                                 "resolution of the canonical height")
+    return LocalHeightLedger(finite, (arch_val, arch_err), total, total_error)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ is scale-invariant and symmetric, +infinity on the diagonal.  Fekete
 configurations maximize the product of |x_i y_j - x_j y_i| over the filled
 Julia set.  The objective, the pairwise log-distance sum minus
 2(n-1) sum Lambda, is unchanged when one point is scaled, so it is
-evaluated at affine points (z, 1); power maps optimize on the unit circle,
-general maps select points of backward orbits, which lie on the Julia set.
+evaluated at affine points (z, 1).  For power maps, where Lambda = log
+max(|x|, |y|), Hadamard's inequality on the homogeneous Vandermonde
+determinant makes the n-th roots of unity a maximizer, so delta_n =
+n^(1/(n-1)) in closed form; general maps select points of backward orbits,
+which lie on the Julia set.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
+# unused here; perfbench/bench_spans.py `install` wraps green.minimize
+from scipy.optimize import minimize  # noqa: F401
 
 from .algebraic import AlgebraicNumber, height_algebraic
 from .dynamics import RationalMap
@@ -62,8 +66,6 @@ class EscapeRateField:
         self.depth = self._depth_for(self.tol)
 
     def _depth_for(self, tol):
-        if self._exact_power:
-            return 1
         d, K = self.degree, 1
         while (self.tail_constant + 1.0) / d ** K > tol / 10 and K < 200:
             K += 1
@@ -240,19 +242,9 @@ def height_discrepancy_check(xi: AlgebraicNumber, d=2, tol=1e-12):
     """
     if d < 2:
         raise UnsupportedScopeError("power exponent must be >= 2")
-    n = xi.degree
-    if n < 2:
-        raise InvalidInputError("need degree >= 2")
+    d_inf = discrepancy(EscapeRateField(RationalMap.power(d), tol), xi, tol)
     lhs = height_algebraic(xi, tol)
-
-    # archimedean discrepancy from certified conjugates
-    roots = [rt.value for rt in xi.conjugates(tol)]
-    s = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s += math.log(abs(roots[i] - roots[j]))
-    lam = sum(math.log(max(1.0, abs(z))) for z in roots)
-    d_inf = -2 * s / (n * (n - 1)) + 2 * lam / n
+    n = xi.degree
 
     # exact finite parts
     a0 = abs(xi.minpoly.lead)
@@ -262,10 +254,8 @@ def height_discrepancy_check(xi: AlgebraicNumber, d=2, tol=1e-12):
         | set(factorize(delta_monic.denominator)) | set(factorize(a0))
     rhs = d_inf
     for p in sorted(support):
-        v_delta = vp(delta_monic, p)
-        d_p = v_delta * math.log(p) / (n * (n - 1)) \
+        rhs += vp(delta_monic, p) * math.log(p) / (n * (n - 1)) \
             + 2 * vp(a0, p) * math.log(p) / n
-        rhs += d_p
     rhs *= 0.5
     return lhs, rhs, abs(lhs - rhs)
 
@@ -284,17 +274,6 @@ class TransfiniteDiameterResult:
     formula_value: float
     converged: bool
     config: list  # affine complex positions of the best configuration
-
-
-def _circle_objective(theta):
-    n = len(theta)
-    diff = theta[:, None] - theta[None, :]
-    s = 2 * np.abs(np.sin(diff / 2)) + np.eye(n)
-    F = np.sum(np.triu(np.log(s), 1))
-    with np.errstate(divide="ignore"):
-        cot = 0.5 / np.tan(diff / 2 + np.eye(n))
-    np.fill_diagonal(cot, 0.0)
-    return -F, -np.sum(cot, axis=1)
 
 
 def _julia_backward_samples(f: RationalMap, n, rng):
@@ -394,23 +373,14 @@ def _greedy_delete(field, config, target):
     return cfg
 
 
-def _check_fekete_problem(field, n, restarts):
+def _check_fekete_problem(n, restarts):
     if n < 2:
         raise InvalidInputError("need n >= 2")
-    # power maps have no pool, only their random starts
-    if restarts < 0 or (restarts == 0 and field.map.is_unit_power_pair()):
-        raise InvalidInputError("no start configuration: need restarts >= 1 "
-                                "(>= 0 for maps other than power maps)")
+    if restarts < 0:
+        raise InvalidInputError("need restarts >= 0")
     if n > FEKETE_POOL:
         raise ResourceLimitError(FEKETE_POOL, f"n = {n} exceeds the "
                                  f"{FEKETE_POOL} points of a Fekete pool")
-
-
-def _fekete_result(field, n, objective, config, converged):
-    d = field.degree
-    formula = abs(field.map.res) ** (-1.0 / (d * (d - 1)))
-    delta = math.exp(objective / (n * (n - 1)))
-    return TransfiniteDiameterResult(n, delta, formula, converged, config)
 
 
 def _pool_fekete(field, n, pools, warm_configs):
@@ -429,7 +399,10 @@ def _pool_fekete(field, n, pools, warm_configs):
         val = _config_objective(field, z)
         if val > best and np.isfinite(val):
             best, best_cfg, converged = val, list(z), exchanged
-    return _fekete_result(field, n, best, best_cfg, converged)
+    d = field.degree
+    return TransfiniteDiameterResult(
+        n, math.exp(best / (n * (n - 1))),
+        abs(field.map.res) ** (-1.0 / (d * (d - 1))), converged, best_cfg)
 
 
 def transfinite_diameter(field: EscapeRateField, n, restarts=32, seed=0,
@@ -437,38 +410,31 @@ def transfinite_diameter(field: EscapeRateField, n, restarts=32, seed=0,
     """Fekete estimate of delta_n over the filled Julia set, with the
     closed-form limit |Res|^(-1/d(d-1)) for comparison.
 
-    Power maps run `restarts` L-BFGS-B searches in angular coordinates on
-    the distinguished boundary, where the optimum sits at |x| = |y| = 1.
-    Other maps select n points of each of `restarts` + 1 pools of 4096
-    backward-orbit points on the Julia set, by weighted Leja selection and
-    single-point exchanges; no gradient search follows, since Lambda is not
+    Power maps need no search: the n-th roots of unity maximize the
+    objective, so they are returned with delta_n = n^(1/(n-1)), and
+    `restarts`, `seed` and `warm_configs` are not used.  Other maps select
+    n points of each of `restarts` + 1 pools of 4096 backward-orbit points
+    on the Julia set, by weighted Leja selection and single-point
+    exchanges; no gradient search follows, since Lambda is not
     differentiable there.  For them each of `warm_configs` with at least n
     points, shrunk by best-deletion (which keeps sweeps monotone), is one
     more candidate.  The candidate of largest value wins.
 
     `delta_n` is the value of the returned `config`.  `converged` is True
-    when that configuration ended its search: an L-BFGS-B run that reported
-    success, or an exchange loop, so that no single exchange within its
-    pool improves it.  It is False when a warm configuration wins.  n above
-    4096, or a pool with fewer than n distinct points, raises
-    ResourceLimitError.
+    when that configuration is a maximizer (power maps) or ended an
+    exchange loop, so that no single exchange within its pool improves it.
+    It is False when a warm configuration wins.  n < 2 or restarts < 0
+    raises InvalidInputError; n above 4096, or a pool with fewer than n
+    distinct points, raises ResourceLimitError.
     """
-    _check_fekete_problem(field, n, restarts)
-    if not field.map.is_unit_power_pair():
-        return _pool_fekete(field, n, _fekete_pools(field, restarts, seed),
-                            warm_configs)
-    rng = np.random.default_rng(seed)
-    best, best_cfg, converged = -math.inf, None, False
-    for _ in range(restarts):
-        th0 = rng.uniform(0, 2 * math.pi, n)
-        res = minimize(_circle_objective, th0, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=600, ftol=1e-18, gtol=1e-14))
-        if -res.fun > best:
-            best = -res.fun
-            best_cfg = [cmath.exp(1j * t) for t in res.x]
-            converged = res.success
-    # _circle_objective counts each pair once
-    return _fekete_result(field, n, 2 * best, best_cfg, converged)
+    _check_fekete_problem(n, restarts)
+    if field.map.is_unit_power_pair():
+        roots = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+        # |Res| = 1, so the limit |Res|^(-1/d(d-1)) is 1
+        return TransfiniteDiameterResult(n, n ** (1 / (n - 1)), 1.0, True,
+                                         roots)
+    return _pool_fekete(field, n, _fekete_pools(field, restarts, seed),
+                        warm_configs)
 
 
 def transfinite_diameter_sweep(field: EscapeRateField, ns, restarts=32,
@@ -485,7 +451,7 @@ def transfinite_diameter_sweep(field: EscapeRateField, ns, restarts=32,
     if field.map.is_unit_power_pair():
         return {n: transfinite_diameter(field, n, restarts, seed) for n in ns}
     for n in ns:
-        _check_fekete_problem(field, n, restarts)
+        _check_fekete_problem(n, restarts)
     pools = _fekete_pools(field, restarts, seed)
     out, warm = {}, []
     for n in ns:

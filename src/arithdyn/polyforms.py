@@ -20,6 +20,7 @@ from functools import lru_cache, wraps
 
 import mpmath as mpm
 import numpy as np
+from mpmath.libmp import round_ceiling, to_float
 
 from .errors import DegenerateMapError, InvalidInputError, RepeatedRootError
 
@@ -546,9 +547,9 @@ def certified_roots_mp(coeffs, tol):
     """Aberth-Ehrlich with a posteriori Weierstrass disks.
 
     `coeffs` are exact Fractions low->high of a squarefree polynomial.
-    Returns (list of mpc, list of float radii); union of the returned disks
-    contains all roots and disks are pairwise disjoint, so each contains
-    exactly one.
+    Returns (list of mpc, list of float radii rounded up); union of the
+    returned disks contains all roots and disks are pairwise disjoint, so
+    each contains exactly one.
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
@@ -604,7 +605,8 @@ def certified_roots_mp(coeffs, tol):
                 disjoint = all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
                                for i in range(d) for j in range(i + 1, d))
                 if disjoint and max(radii, default=mpm.mpf(0)) < tol:
-                    return zz, [float(r) for r in radii]
+                    return zz, [to_float(r._mpf_, rnd=round_ceiling)
+                                for r in radii]
             guesses = [complex(w) for w in zz]
         dps *= 2
     raise RepeatedRootError(
@@ -625,8 +627,13 @@ def complex_roots(P, tol=1e-12):
         raise RepeatedRootError(
             "polynomial has a repeated root; deflate by gcd(P, P') first")
     zz, radii = P.certified_roots(tol)
-    roots = [CertifiedRoot(complex(z), r + abs(complex(z)) * 1e-16 + 1e-300)
-             for z, r in zip(zz, radii)]
+    roots = []
+    for z, r in zip(zz, radii):
+        # each part of z rounds within 2^-53 of itself (2^-1075 if subnormal):
+        # |complex(z) - z| <= 2^-52 |complex(z)| + 2^-1074, sums rounded up
+        w = complex(z)
+        conv = math.nextafter(abs(w) * 2.0 ** -52 + 2.0 ** -1074, math.inf)
+        roots.append(CertifiedRoot(w, math.nextafter(r + conv, math.inf)))
     # conjugation closure sanity (real coefficients force it)
     for rt in roots:
         if abs(rt.value.imag) > tol:

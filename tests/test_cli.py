@@ -14,6 +14,10 @@ from arithdyn.cli import main
 
 Z2P1 = '{"d":2,"U":[1,0,1],"V":[0,0,1]}'
 POWER2 = '{"d":2,"U":[1,0,0],"V":[0,0,1]}'
+# Res of this map has a 131-bit cofactor that rho cannot split within its
+# budget
+UNFACTORABLE = ('{"d":4,"U":[-715337,817236,-190296,-616583,315427],'
+                '"V":[-676755,-348182,905102,-521046,715054]}')
 
 
 def run_cli(args, capsys):
@@ -100,6 +104,14 @@ class TestSubcommands:
         assert code == 0
         assert data["delta_n"] == pytest.approx(math.sqrt(3), abs=1e-6)
 
+    def test_tdiam_power_map_no_restarts(self, capsys):
+        # power maps return the n-th roots of unity without a search, so
+        # they need no start configuration
+        code, data = run_cli(["tdiam", "--map", POWER2, "--n", "3",
+                              "--restarts", "0"], capsys)
+        assert code == 0 and data["converged"] is True
+        assert data["delta_n"] == pytest.approx(math.sqrt(3), rel=1e-15)
+
     def test_discrepancy_power(self, capsys):
         code, data = run_cli(["discrepancy", "--poly=-2,0,1", "--power-d", "2"], capsys)
         assert code == 0
@@ -168,17 +180,23 @@ class TestErrorHandling:
         assert code == 1 and "error" in data
 
     def test_unfactorable_resultant_exits_1(self):
-        # Res of this map has a 131-bit cofactor that rho cannot split
-        # within its budget; factorization must stop, not run on
-        hard = ('{"d":4,"U":[-715337,817236,-190296,-616583,315427],'
-                '"V":[-676755,-348182,905102,-521046,715054]}')
+        # factorization must stop, not run on
         start = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-m", "arithdyn.cli", "canheight", "--map", hard,
-             "--point", "1/1"], capture_output=True, text=True, timeout=60)
+            [sys.executable, "-m", "arithdyn.cli", "canheight", "--map",
+             UNFACTORABLE, "--point", "1/1"], capture_output=True, text=True,
+            timeout=60)
         assert time.monotonic() - start < 10
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize("argv", [
+        ["julia-sample", "--nx", "3", "--ny", "3"],
+        ["tdiam", "--n", "4", "--restarts", "0"]])
+    def test_unfactorable_resultant_not_needed(self, argv, capsys):
+        # the green layer needs Res but none of its primes
+        code, data = run_cli(argv + ["--map", UNFACTORABLE], capsys)
+        assert code == 0 and "error" not in data
 
     def test_degenerate_map_exits_1(self, capsys):
         code, data = run_cli(
@@ -260,8 +278,6 @@ class TestRejections:
         ("schanuel-negative-k", ["schanuel", "--k", "-2", "--B", "10"], 2),
         ("tdiam-negative-restarts", ["tdiam", "--map", POWER2, "--n", "3",
                                      "--restarts", "-1"], 1),
-        ("tdiam-power-map-no-restarts", ["tdiam", "--map", POWER2, "--n", "3",
-                                         "--restarts", "0"], 1),
         ("tdiam-power-map-n-above-pool", ["tdiam", "--map", POWER2,
                                           "--n", "5000"], 1),
         ("tdiam-n-above-pool", ["tdiam", "--map", Z2P1, "--n", "5000"], 1),

@@ -394,6 +394,24 @@ class TestConstantsKeptOnTheMap:
         assert hash(f) == hash(make_map((1, 0, 1), (0, 0, 1)))
         assert "cofactor" not in repr(f)
 
+    def test_res_factored_on_first_use(self, monkeypatch):
+        import arithdyn.dynamics as dyn
+        calls = []
+        factorize = dyn.factorize
+
+        def counting(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(dyn, "factorize", counting)
+        f = make_map((3, 0, 5), (0, 2, 0))
+        assert calls == []
+        assert f.bad_primes == (2, 3, 5) and f.bad_primes == (2, 3, 5)
+        assert calls == [f.res]
+        fresh = make_map((3, 0, 5), (0, 2, 0))
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+        assert calls == [f.res]
+
     def test_res_factorization_matches_bad_primes(self):
         f = make_map((3, 0, 5), (0, 2, 0))
         assert tuple(p for p, _ in f.res_factors) == f.bad_primes
@@ -512,6 +530,57 @@ class TestIntervalEnclosures:
                     with mpm.workprec(prec):
                         assert escape_rate_exact_pair(f, a, b, 1e-10) \
                             == default
+
+
+class TestReportedEnclosures:
+    """The reported value +- error holds the whole enclosure, not only its
+    midpoint's neighbourhood: the float value is rounded, and its error is
+    measured from that float."""
+
+    @staticmethod
+    def exact(mpf):
+        from mpmath.libmp import to_rational
+        return Fraction(*to_rational(mpf))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_escape_rate_error_covers_the_enclosure(self, tol, monkeypatch):
+        import arithdyn.dynamics as dyn
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(log_bounds(*args, **kwargs))
+            return seen[-1]
+
+        log_bounds = dyn.log_bounds
+        monkeypatch.setattr(dyn, "log_bounds", spy)
+        rng = random.Random(83)
+        for _ in range(12):
+            f = random_map(rng, d=rng.randint(2, 4), cmax=9)
+            a, b = rng.randint(-40, 40), rng.randint(1, 40)
+            val, err = dyn.escape_rate_exact_pair(f, a, b, tol)
+            lo, hi = map(self.exact, seen[-1])   # the accepted rung
+            assert err <= tol
+            assert Fraction(val) - Fraction(err) <= lo
+            assert hi <= Fraction(val) + Fraction(err)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_local_total_covers_its_parts(self, tol):
+        import mpmath as mpm
+        rng = random.Random(89)
+        for _ in range(12):
+            f = random_map(rng, d=rng.randint(2, 4), cmax=9)
+            a, b = rng.randint(-40, 40), rng.randint(1, 40)
+            g = math.gcd(a, b)
+            led = canonical_height_local(f, ProjPointQ((a // g, b // g)), tol)
+            with mpm.workdps(60):
+                val, err = map(mpm.mpf, led.archimedean)
+                fin = sum(mpm.mpf(c.numerator) / c.denominator * mpm.log(p)
+                          for p, (c, _) in led.finite_places.items())
+                tails = sum(mpm.mpf(t) for _, t in led.finite_places.values())
+                total, total_err = mpm.mpf(led.total), mpm.mpf(led.total_error)
+                assert led.total_error <= tol
+                assert total - total_err <= val - err + fin - tails
+                assert val + err + fin + tails <= total + total_err
 
 
 def raw_canonical_height(f, a, b, tol):

@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath as mpm
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithdyn.algebraic import AlgebraicNumber, cyclotomic_number
 from arithdyn.dynamics import RationalMap
@@ -355,6 +357,70 @@ class TestTransfiniteDiameter:
             transfinite_diameter(EscapeRateField(Z2P1), 12, restarts=0)
         assert transfinite_diameter(EscapeRateField(Z2P1), 10,
                                     restarts=0).converged
+
+
+def weighted_fekete_value(z):
+    """delta of a configuration under Lambda(z, 1) = log max(1, |z|), the
+    weighted product formula (prod_(i != j) |z_i - z_j| /
+    prod_i max(1, |z_i|)^(2(n-1)))^(1/(n(n-1))), taken in logs."""
+    z = np.asarray(z, dtype=complex)
+    n = len(z)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(z[:, None] - z[None, :]))
+    s = np.sum(logs[~np.eye(n, dtype=bool)])
+    s -= 2 * (n - 1) * np.sum(np.log(np.maximum(1.0, np.abs(z))))
+    return math.exp(s / (n * (n - 1)))
+
+
+def unit_power_pairs():
+    """[X^d : Y^d], [-X^d : Y^d] and [Y^d : X^d] for d = 2, 3, by name."""
+    out = {}
+    for d in (2, 3):
+        X, Y = (1,) + (0,) * d, (0,) * d + (1,)
+        out[f"[X^{d}:Y^{d}]"] = make_map(X, Y)
+        out[f"[-X^{d}:Y^{d}]"] = make_map((-1,) + X[1:], Y)
+        out[f"[Y^{d}:X^{d}]"] = make_map(Y, X)
+    return out
+
+
+UNIT_POWER_PAIRS = unit_power_pairs()
+
+
+class TestPowerMapFekete:
+    """For Lambda = log max(|x|, |y|) the n-th roots of unity maximize the
+    Fekete objective (Hadamard's inequality), so delta_n = n^(1/(n-1))."""
+
+    @pytest.mark.parametrize("name", UNIT_POWER_PAIRS)
+    def test_closed_form(self, name):
+        field = EscapeRateField(UNIT_POWER_PAIRS[name])
+        for n in (2, 3, 10, 64, 1000):
+            res = transfinite_diameter(field, n, restarts=0)
+            with mpm.workdps(60):
+                want = float(mpm.mpf(n) ** (mpm.mpf(1) / (n - 1)))
+            assert abs(res.delta_n - want) <= 4 * math.ulp(want)
+            assert res.converged is True and len(res.config) == n
+            assert np.allclose(np.array(res.config) ** n, 1.0, atol=1e-12)
+            assert res.delta_n == pytest.approx(
+                weighted_fekete_value(res.config), rel=1e-12)
+
+    def test_sweep_and_pool_cap(self):
+        field = EscapeRateField(POWER2)
+        sweep = transfinite_diameter_sweep(field, (3, 10), restarts=0)
+        assert sweep[3] == transfinite_diameter(field, 3, restarts=5, seed=9)
+        assert transfinite_diameter(field, 4096).delta_n == pytest.approx(
+            4096 ** (1 / 4095), rel=1e-15)
+        with pytest.raises(ResourceLimitError):
+            transfinite_diameter(field, 4097)
+        with pytest.raises(InvalidInputError):
+            transfinite_diameter(field, 3, restarts=-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+                    min_size=2, max_size=12, unique=True))
+    def test_no_configuration_beats_the_roots_of_unity(self, pts):
+        n = len(pts)
+        value = weighted_fekete_value([complex(x, y) for x, y in pts])
+        assert value <= n ** (1 / (n - 1)) * (1 + 1e-9)
 
 
 class TestEnergy:

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import mpmath as mpm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,6 +323,21 @@ class TestComplexRoots:
         roots = complex_roots(IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)),
                               1e-13)
         assert max(r.radius for r in roots) < 1e-13
+
+    def test_disks_cover_the_float_conversion(self):
+        # the float centre may lie up to 2^-53 |z| from the mp root z,
+        # which a widening by |z| 1e-16 misses on these random polynomials
+        rng = random.Random(5)
+        for _ in range(30):
+            d = rng.randint(2, 12)
+            P = IntPoly(tuple(rng.randint(-20, 20) for _ in range(d))
+                        + (rng.randint(1, 3),))
+            if not P.is_squarefree():
+                continue
+            zz, radii = P.certified_roots(1e-12)
+            for z, r, rt in zip(zz, radii, complex_roots(P, 1e-12)):
+                with mpm.workdps(60):
+                    assert abs(mpm.mpc(rt.value) - z) + r <= rt.radius
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(RepeatedRootError):
