@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .algebraic import (AlgebraicNumber, is_root_of_unity,
@@ -25,11 +29,11 @@ from .algebraic import (AlgebraicNumber, is_root_of_unity,
 from .dynamics import (RationalMap, canonical_height_global,
                        canonical_height_local, good_reduction_at,
                        preperiodic_points_rational)
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .green import (EmpiricalMeasure, EscapeRateField, annulus_mass_bound,
                     baker_mean_pairing, bilu_moment_test, discrepancy,
-                    discrete_energy, filled_julia_membership,
-                    height_discrepancy_check, transfinite_diameter)
+                    discrete_energy, filled_julia_memberships,
+                    height_discrepancy_terms, transfinite_diameter)
 from .polyforms import IntPoly
 from .projective import ProjPointQ, enumerate_points, schanuel_ratio
 from .torus import TorusPoint, monomial_pushforward, subadditivity_check, torus_height
@@ -207,26 +211,33 @@ def cmd_goodred(args):
             "bad_primes": list(f.bad_primes), "table": table}
 
 
+JULIA_GRID_CAP = 2 ** 20  # largest julia-sample grid, nx * ny points
+
+
 def cmd_julia_sample(args):
+    if args.nx * args.ny > JULIA_GRID_CAP:
+        raise ResourceLimitError(JULIA_GRID_CAP, f"a {args.nx} x {args.ny} "
+                                 f"grid exceeds {JULIA_GRID_CAP} points")
     f = parse_map(args.map)
     field = EscapeRateField(f, args.tol)
-    rows = []
-    for i in range(args.ny):
-        im = args.im0 + (args.im1 - args.im0) * i / max(args.ny - 1, 1)
-        for j in range(args.nx):
-            re = args.re0 + (args.re1 - args.re0) * j / max(args.nx - 1, 1)
-            rows.append([f"{re:.17g}", f"{im:.17g}",
-                         filled_julia_membership(field, complex(re, im), 1.0)])
+    res = [args.re0 + (args.re1 - args.re0) * j / max(args.nx - 1, 1)
+           for j in range(args.nx)]
+    ims = [args.im0 + (args.im1 - args.im0) * i / max(args.ny - 1, 1)
+           for i in range(args.ny)]
+    grid = np.empty((args.ny, args.nx), dtype=complex)  # row i has im[i]
+    grid.real = res
+    grid.imag = np.array(ims)[:, None]
+    labels = filled_julia_memberships(field, grid.ravel(), np.ones(grid.size))
     if args.out:
+        points = itertools.product([f"{im:.17g}" for im in ims],
+                                   [f"{re:.17g}" for re in res])
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["re", "im", "membership"])
-            w.writerows(rows)
-    counts = {}
-    for r in rows:
-        counts[r[2]] = counts.get(r[2], 0) + 1
-    return {"grid": [args.nx, args.ny], "counts": counts, "csv": args.out,
-            "margin": field.certified_error()}
+            w.writerows([re, im, label]
+                        for (im, re), label in zip(points, labels))
+    return {"grid": [args.nx, args.ny], "counts": Counter(labels),
+            "csv": args.out, "margin": field.certified_error()}
 
 
 def cmd_tdiam(args):
@@ -244,9 +255,9 @@ def cmd_discrepancy(args):
     if args.map is None and args.power_d is None:
         raise InvalidInputError("give either --map or --power-d")
     if args.power_d is not None:
-        lhs, rhs, gap = height_discrepancy_check(xi, args.power_d, args.tol)
-        field = EscapeRateField(RationalMap.power(args.power_d), args.tol)
-        return {"D_inf": discrepancy(field, xi), "lhs_height": lhs,
+        d_inf, lhs, rhs, gap = height_discrepancy_terms(xi, args.power_d,
+                                                        args.tol)
+        return {"D_inf": d_inf, "lhs_height": lhs,
                 "rhs_half_sum": rhs, "gap": gap, "power_d": args.power_d}
     f = parse_map(args.map)
     field = EscapeRateField(f, args.tol)

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-# unused here; perfbench/bench_spans.py `install` wraps green.minimize
-from scipy.optimize import minimize  # noqa: F401
 
 from .algebraic import AlgebraicNumber, height_algebraic
 from .dynamics import RationalMap
@@ -38,6 +36,16 @@ from .numutil import factorize
 from .polyforms import discriminant, vp
 
 INF = "inf"  # marker for [1:0] in point lists
+
+
+def __getattr__(name):
+    # nothing here minimizes; `green.minimize` stays readable for code that
+    # wraps it (perfbench's traced runs), and only that read imports scipy,
+    # which would otherwise dominate the start-up of every CLI process
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def as_pair(p):
@@ -112,13 +120,16 @@ def escape_rate(field: EscapeRateField, x, y):
 
 def filled_julia_membership(field: EscapeRateField, x, y):
     """'inside' / 'outside' / 'boundary-uncertain' by the sign of Lambda."""
-    lam = field.escape(x, y)
+    return filled_julia_memberships(field, [x], [y])[0]
+
+
+def filled_julia_memberships(field: EscapeRateField, xs, ys):
+    """filled_julia_membership at each point of two coordinate arrays, from
+    one escape_vec call."""
     margin = field.certified_error()
-    if lam <= -margin:
-        return "inside"
-    if lam >= margin:
-        return "outside"
-    return "boundary-uncertain"
+    return ["inside" if lam <= -margin else
+            "outside" if lam >= margin else "boundary-uncertain"
+            for lam in field.escape_vec(xs, ys).tolist()]
 
 
 def g_pairing(field: EscapeRateField, P1, P2):
@@ -232,16 +243,28 @@ def discrepancy(field: EscapeRateField, xi: AlgebraicNumber, tol=1e-12):
     return _pairwise_mean_g(field, list(m.points))
 
 
+POWER_D_CAP = 64  # largest power-map degree; its resultant is 2d x 2d
+
+
 def height_discrepancy_check(xi: AlgebraicNumber, d=2, tol=1e-12):
-    """(lhs, rhs, gap) for hhat = (1/2) sum_v D_v under the power map.
+    """(lhs, rhs, gap) for hhat = (1/2) sum_v D_v under the power map."""
+    return height_discrepancy_terms(xi, d, tol)[1:]
+
+
+def height_discrepancy_terms(xi: AlgebraicNumber, d=2, tol=1e-12):
+    """(D_inf, lhs, rhs, gap) for hhat = (1/2) sum_v D_v under the power map.
 
     Finite-place discrepancies are exact: with Delta the discriminant of
     the monicized minimal polynomial and a_0 the leading coefficient,
     D_p = -log|Delta|_p / (n(n-1)) + (2/n) v_p(a_0) log p.  Only the power
-    map is supported (general maps would need p-adic escape rates).
+    map is supported (general maps would need p-adic escape rates); d < 2
+    raises UnsupportedScopeError and d above POWER_D_CAP ResourceLimitError.
     """
     if d < 2:
         raise UnsupportedScopeError("power exponent must be >= 2")
+    if d > POWER_D_CAP:
+        raise ResourceLimitError(POWER_D_CAP, f"power exponent {d} exceeds "
+                                 f"the cap {POWER_D_CAP}")
     d_inf = discrepancy(EscapeRateField(RationalMap.power(d), tol), xi, tol)
     lhs = height_algebraic(xi, tol)
     n = xi.degree
@@ -257,7 +280,7 @@ def height_discrepancy_check(xi: AlgebraicNumber, d=2, tol=1e-12):
         rhs += vp(delta_monic, p) * math.log(p) / (n * (n - 1)) \
             + 2 * vp(a0, p) * math.log(p) / n
     rhs *= 0.5
-    return lhs, rhs, abs(lhs - rhs)
+    return d_inf, lhs, rhs, abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,27 @@
 """CLI surface: subcommands, JSON shapes, exit codes, manifests, determinism."""
 
+import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arithdyn.cli import main
+import arithdyn
+from arithdyn.cli import main, parse_map
+from arithdyn.green import EscapeRateField, filled_julia_membership
 
 Z2P1 = '{"d":2,"U":[1,0,1],"V":[0,0,1]}'
 POWER2 = '{"d":2,"U":[1,0,0],"V":[0,0,1]}'
+# (z^3 + z + 1) / z; unlike z^2 + 1 and z^2, it has grid points inside
+CUBIC = '{"d":3,"U":[1,0,1,1],"V":[0,0,1,0]}'
 # Res of this map has a 131-bit cofactor that rho cannot split within its
 # budget
 UNFACTORABLE = ('{"d":4,"U":[-715337,817236,-190296,-616583,315427],'
@@ -98,6 +106,33 @@ class TestSubcommands:
         assert sum(data["counts"].values()) == 81
         assert out.read_text().startswith("re,im,membership")
 
+    @pytest.mark.parametrize("map_json", [Z2P1, POWER2, CUBIC],
+                             ids=["z^2+1", "z^2", "cubic"])
+    def test_julia_sample_matches_pointwise_membership(self, map_json,
+                                                       tmp_path, capsys):
+        # the grid is labelled from one batched escape_vec call; each label
+        # must be the one-point call's label at the point the CSV names (the
+        # three maps give "outside" only, "outside" and "boundary-uncertain",
+        # "outside" and "inside")
+        out = tmp_path / "julia.csv"
+        re0, re1, im0, im1, nx, ny = -1.9, 1.3, -1.2, 1.5, 9, 7
+        code, data = run_cli(["julia-sample", "--map", map_json,
+                              "--re0", str(re0), "--re1", str(re1),
+                              "--im0", str(im0), "--im1", str(im1),
+                              "--nx", str(nx), "--ny", str(ny),
+                              "--out", str(out)], capsys)
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (re0 + (re1 - re0) * j / (nx - 1), im0 + (im1 - im0) * i / (ny - 1))
+            for i in range(ny) for j in range(nx)]
+        field = EscapeRateField(parse_map(map_json), 1e-9)
+        want = [filled_julia_membership(field, complex(float(re), float(im)),
+                                        1.0) for re, im, _ in rows]
+        assert [r[2] for r in rows] == want
+        assert data["counts"] == dict(Counter(want))
+
     def test_tdiam(self, capsys):
         code, data = run_cli(["tdiam", "--map", POWER2, "--n", "3",
                               "--restarts", "4"], capsys)
@@ -117,6 +152,26 @@ class TestSubcommands:
         assert code == 0
         assert data["gap"] <= 1e-6
         assert data["D_inf"] == pytest.approx(-0.5 * math.log(2), abs=1e-10)
+
+    def test_discrepancy_builds_the_power_map_once(self, capsys,
+                                                   monkeypatch):
+        from arithdyn import green
+        from arithdyn.algebraic import AlgebraicNumber
+        from arithdyn.dynamics import RationalMap
+        from arithdyn.polyforms import IntPoly
+        want = green.discrepancy(EscapeRateField(RationalMap.power(2), 1e-12),
+                                 AlgebraicNumber(IntPoly((-2, 0, 1))))
+        built, build = [], RationalMap.power.__func__
+
+        def power(cls, d):
+            built.append(d)
+            return build(cls, d)
+
+        monkeypatch.setattr(RationalMap, "power", classmethod(power))
+        code, data = run_cli(["discrepancy", "--poly=-2,0,1", "--power-d", "2"],
+                             capsys)
+        assert code == 0 and built == [2]
+        assert data["D_inf"] == want
 
     def test_baker_roots_of_unity(self, capsys):
         code, data = run_cli(["baker", "--map", POWER2,
@@ -166,6 +221,20 @@ class TestSubcommands:
         code, data = run_cli(["torus", "subadd", "--alpha", "2",
                               "--beta", "3"], capsys)
         assert code == 0 and data["holds"] is True
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize took most of the start-up of every CLI process;
+    # green.minimize still resolves to scipy's, imported on first read
+    code = ("import sys, arithdyn, arithdyn.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from scipy.optimize import minimize\n"
+            "print(arithdyn.green.minimize is minimize)\n")
+    src = str(Path(arithdyn.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
 
 
 class TestErrorHandling:
@@ -252,6 +321,22 @@ class TestRejections:
     def test_log_height_bound_beyond_cap(self, capsys):
         code, data = self.rejected(["enumerate", "--k", "1", "--B", "1000"],
                                    capsys)
+        assert code == 1 and data["error"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize("nx,ny", [(1025, 1024), (10 ** 9, 10 ** 9)])
+    def test_grid_beyond_cap_allocates_nothing(self, nx, ny, capsys):
+        # 1025 x 1024 is the smallest such grid above the 2^20-point cap
+        start = time.monotonic()
+        code, data = self.rejected(["julia-sample", "--map", Z2P1, "--nx",
+                                    str(nx), "--ny", str(ny)], capsys)
+        assert time.monotonic() - start < 5
+        assert code == 1 and data["error"] == "ResourceLimitError"
+
+    def test_power_exponent_beyond_cap(self, capsys):
+        start = time.monotonic()
+        code, data = self.rejected(["discrepancy", "--poly=-2,0,1",
+                                    "--power-d", "65"], capsys)
+        assert time.monotonic() - start < 5
         assert code == 1 and data["error"] == "ResourceLimitError"
 
     def test_count_beyond_cap_allocates_nothing(self, capsys):

@@ -15,13 +15,13 @@ from arithdyn.algebraic import AlgebraicNumber, cyclotomic_number
 from arithdyn.dynamics import RationalMap
 from arithdyn.errors import (InvalidInputError, ResourceLimitError,
                              UnsupportedScopeError)
-from arithdyn.green import (INF, EmpiricalMeasure, EscapeRateField,
-                            annulus_mass_bound, baker_fit_constant,
-                            baker_mean_pairing, bilu_moment_test, discrepancy,
-                            discrete_energy, escape_rate,
-                            filled_julia_membership, g_pairing,
-                            height_discrepancy_check, transfinite_diameter,
-                            transfinite_diameter_sweep)
+from arithdyn.green import (INF, POWER_D_CAP, EmpiricalMeasure,
+                            EscapeRateField, annulus_mass_bound,
+                            baker_fit_constant, baker_mean_pairing,
+                            bilu_moment_test, discrepancy, discrete_energy,
+                            escape_rate, filled_julia_membership, g_pairing,
+                            height_discrepancy_check, height_discrepancy_terms,
+                            transfinite_diameter, transfinite_diameter_sweep)
 from arithdyn.polyforms import BinaryForm, IntPoly, cyclotomic, discriminant
 
 
@@ -206,6 +206,17 @@ class TestHeightDiscrepancyIdentity:
     def test_bad_power_rejected(self):
         with pytest.raises(UnsupportedScopeError):
             height_discrepancy_check(AlgebraicNumber(IntPoly((-2, 0, 1))), 1)
+
+    def test_power_exponent_capped(self):
+        # Lambda = log max(|x|, |y|) for every unit power map, so no term of
+        # the identity depends on d; above the cap the 2d x 2d resultant of
+        # the power map is not built
+        xi = AlgebraicNumber(IntPoly((-2, 0, 1)))
+        terms = height_discrepancy_terms(xi, 2)
+        assert height_discrepancy_terms(xi, POWER_D_CAP) == terms
+        assert height_discrepancy_check(xi, 2) == terms[1:]
+        with pytest.raises(ResourceLimitError):
+            height_discrepancy_check(xi, POWER_D_CAP + 1)
 
 
 class TestBaker:
