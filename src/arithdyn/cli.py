@@ -227,6 +227,12 @@ def cmd_julia_sample(args):
     grid = np.empty((args.ny, args.nx), dtype=complex)  # row i has im[i]
     grid.real = res
     grid.imag = np.array(ims)[:, None]
+    # a span that overflows makes coordinates nan; a modulus can overflow
+    with np.errstate(over="ignore"):
+        finite = np.all(np.isfinite(np.abs(grid)))
+    if not finite:
+        raise InvalidInputError("the grid's coordinates and their moduli "
+                                "must be finite")
     labels = filled_julia_memberships(field, grid.ravel(), np.ones(grid.size))
     if args.out:
         points = itertools.product([f"{im:.17g}" for im in ims],

@@ -288,6 +288,7 @@ def height_discrepancy_terms(xi: AlgebraicNumber, d=2, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 FEKETE_POOL = 4096  # backward-orbit points per pool, and the largest n
+FEKETE_ORBITS = 64  # backward orbits advanced together to draw one pool
 
 
 @dataclass
@@ -300,25 +301,34 @@ class TransfiniteDiameterResult:
 
 
 def _julia_backward_samples(f: RationalMap, n, rng):
-    """n consecutive points of one random backward orbit, after a burn-in
-    of 40 steps that carries the start onto the Julia set."""
-    d = f.degree
-    ucoef = [complex(c) for c in f.U.coeffs]
-    vcoef = [complex(c) for c in f.V.coeffs]
-    w = complex(rng.normal(), rng.normal())
-    out = []
-    for _ in range(40 + n):
-        # a random root of U(z,1) - w V(z,1); a fresh start if there is none
-        cs = [ucoef[i] - w * vcoef[i] for i in range(d + 1)]
-        while cs and abs(cs[0]) < 1e-300:
-            cs = cs[1:]
-        pre = np.roots(cs) if len(cs) >= 2 else ()
-        if len(pre) == 0:
-            w = complex(rng.normal(), rng.normal())
-        else:
-            w = complex(pre[rng.integers(len(pre))])
-        out.append(w)
-    return np.array(out[40:], dtype=complex)
+    """n points of FEKETE_ORBITS random backward orbits advanced together,
+    after a burn-in of 40 steps that carries the starts onto the Julia set.
+
+    Point k * FEKETE_ORBITS + i is step k of orbit i, so f maps it to point
+    (k - 1) * FEKETE_ORBITS + i.  Each step takes the roots of every orbit's
+    U(z, 1) - w V(z, 1) from one stacked eigenvalue call on the companion
+    matrices and follows a random one; an orbit whose equation has lost its
+    leading coefficient starts afresh.  The generator is used the same way
+    whatever the data.
+    """
+    d, m = f.degree, FEKETE_ORBITS
+    ucoef = np.array([complex(c) for c in f.U.coeffs])
+    vcoef = np.array([complex(c) for c in f.V.coeffs])
+    companion = np.zeros((m, d, d), dtype=complex)
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    w = rng.normal(size=m) + 1j * rng.normal(size=m)
+    steps = 40 + -(-n // m)
+    out = np.empty((steps, m), dtype=complex)
+    for k in range(steps):
+        cs = ucoef - w[:, None] * vcoef
+        lost = np.abs(cs[:, 0]) <= 1e-300
+        lead = np.where(lost, 1.0, cs[:, 0])  # a lost row's roots go unused
+        companion[:, 0, :] = -cs[:, 1:] / lead[:, None]
+        roots = np.linalg.eigvals(companion)
+        pick = rng.integers(d, size=m)
+        fresh = rng.normal(size=m) + 1j * rng.normal(size=m)
+        out[k] = w = np.where(lost, fresh, roots[np.arange(m), pick])
+    return out[40:].ravel()[:n]
 
 
 def _fekete_pools(field, restarts, seed):
@@ -387,13 +397,28 @@ def _greedy_delete(field, config, target):
 
     This operationalizes the monotonicity argument delta_(n+1) <= delta_n:
     the best single deletion never loses in the normalized product.
+    Deleting z_s from m points leaves m - 1 points whose objective is a
+    constant less 2 (sum_j log|z_s - z_j| - (m - 2) Lambda(z_s)), so the
+    best deletion minimizes that score; Lambda is computed once.
     """
-    cfg = list(config)
-    while len(cfg) > target:
-        scores = [_config_objective(field, cfg[:s] + cfg[s + 1:])
-                  for s in range(len(cfg))]
-        cfg.pop(int(np.argmax(scores)))
-    return cfg
+    z = np.asarray(config, dtype=complex)
+    lam = field.escape_vec(z, np.ones(len(z)))
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(z[:, None] - z[None, :]))
+    np.fill_diagonal(logs, 0.0)
+    rows = logs.sum(axis=1)
+    keep = np.ones(len(z), dtype=bool)
+    for m in range(len(z), target, -1):
+        s = int(np.argmin(np.where(keep, rows - (m - 2) * lam, np.inf)))
+        keep[s] = False
+        with np.errstate(invalid="ignore"):
+            rows -= logs[:, s]
+        # a repeated point makes its row -inf, and deleting a copy leaves
+        # -inf - (-inf): the rows of the other copies are summed afresh
+        redo = keep & np.isnan(rows)
+        if redo.any():
+            rows[redo] = logs[np.ix_(redo, keep)].sum(axis=1)
+    return list(z[keep])
 
 
 def _check_fekete_problem(n, restarts):
@@ -436,12 +461,15 @@ def transfinite_diameter(field: EscapeRateField, n, restarts=32, seed=0,
     Power maps need no search: the n-th roots of unity maximize the
     objective, so they are returned with delta_n = n^(1/(n-1)), and
     `restarts`, `seed` and `warm_configs` are not used.  Other maps select
-    n points of each of `restarts` + 1 pools of 4096 backward-orbit points
-    on the Julia set, by weighted Leja selection and single-point
-    exchanges; no gradient search follows, since Lambda is not
-    differentiable there.  For them each of `warm_configs` with at least n
-    points, shrunk by best-deletion (which keeps sweeps monotone), is one
-    more candidate.  The candidate of largest value wins.
+    n points of each of `restarts` + 1 pools on the Julia set, by weighted
+    Leja selection and single-point exchanges; no gradient search follows,
+    since Lambda is not differentiable there.  A pool is the 4096 points
+    of 64 random backward orbits run together for 64 steps after a burn-in
+    of 40, and pool k depends only on `seed` and k, so a run with fewer
+    restarts draws the first pools of a run with more.  For general maps
+    each of `warm_configs` with at least n points, shrunk by best-deletion
+    (which keeps sweeps monotone), is one more candidate.  The candidate of
+    largest value wins.
 
     `delta_n` is the value of the returned `config`.  `converged` is True
     when that configuration is a maximizer (power maps) or ended an

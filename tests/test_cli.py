@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -317,6 +318,20 @@ class TestRejections:
         code, data = self.rejected(["julia-sample", "--map", Z2P1,
                                     "--nx", "-5"], capsys)
         assert code == 2 and "--nx" in data["message"]
+
+    @pytest.mark.parametrize("bounds", [
+        ["--re0=-1e308", "--re1", "1e308"],    # the span overflows
+        ["--im0=-1e308", "--im1", "1e308"],
+        ["--re0", "1e308", "--re1", "1.7e308",
+         "--im0", "1e308", "--im1", "1.7e308"],  # the moduli overflow
+    ])
+    def test_grid_that_overflows(self, bounds, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            code, data = self.rejected(["julia-sample", "--map", Z2P1,
+                                        *bounds, "--nx", "3", "--ny", "2"],
+                                       capsys)
+        assert code == 1 and data["error"] == "InvalidInputError"
 
     def test_log_height_bound_beyond_cap(self, capsys):
         code, data = self.rejected(["enumerate", "--k", "1", "--B", "1000"],

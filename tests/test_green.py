@@ -349,12 +349,12 @@ class TestTransfiniteDiameter:
     def test_sweep_is_a_chain_of_warm_started_calls(self):
         field = EscapeRateField(ZM1Z, tol=1e-10)
         sweep = transfinite_diameter_sweep(field, (4, 9, 6), restarts=2,
-                                           seed=0)
+                                           seed=1)
         assert list(sweep) == [9, 6, 4]
         assert not sweep[4].converged  # the shrunk delta_6 configuration wins
         warm = []
         for n in (9, 6, 4):
-            res = transfinite_diameter(field, n, restarts=2, seed=0,
+            res = transfinite_diameter(field, n, restarts=2, seed=1,
                                        warm_configs=warm)
             assert res == sweep[n]
             warm = [res.config]
@@ -368,6 +368,135 @@ class TestTransfiniteDiameter:
             transfinite_diameter(EscapeRateField(Z2P1), 12, restarts=0)
         assert transfinite_diameter(EscapeRateField(Z2P1), 10,
                                     restarts=0).converged
+
+
+CUBIC = make_map((1, 0, -1, 1), (0, 1, 0, 0))    # (X^3 - XY^2 + Y^3, X^2 Y)
+
+
+def oracle_lambda_cubic(z, K=25):
+    """The raw iteration of CUBIC, log max / 3^K."""
+    with mpm.workdps(60):
+        X, Y = mpm.mpc(z), mpm.mpc(1)
+        for _ in range(K):
+            X, Y = X ** 3 - X * Y * Y + Y ** 3, X * X * Y
+        return float(mpm.log(max(abs(X), abs(Y))) / mpm.mpf(3) ** K)
+
+
+def reference_deletions(lam, z, target):
+    """Best single deletions down to `target` points, each scored by the
+    full Fekete objective of the configuration it leaves (lam holds
+    Lambda(z, 1), which does not depend on the other points).  Also says
+    whether any step had two best scores within 1e-9."""
+    idx, tie = list(range(len(z))), False
+    while len(idx) > target:
+        scores = []
+        for s in range(len(idx)):
+            rest = idx[:s] + idx[s + 1:]
+            w, m = z[rest], len(rest)
+            logs = np.log(np.abs(w[:, None] - w[None, :]) + np.eye(m))
+            scores.append(np.sum(logs) - 2 * (m - 1) * np.sum(lam[rest]))
+        top = sorted(scores, reverse=True)
+        tie = tie or top[0] - top[1] <= 1e-9
+        idx.pop(int(np.argmax(scores)))
+    return z[idx], tie
+
+
+class TestFeketePools:
+    """Pools of backward-orbit points, drawn by 64 orbits at once, and the
+    best-deletion shrinking of warm configurations."""
+
+    @pytest.mark.parametrize("f", [Z2P1, ZM1Z, CUBIC])
+    def test_orbits_run_backward(self, f):
+        import arithdyn.green as green
+        rng = np.random.default_rng(5)
+        z = green._julia_backward_samples(f, green.FEKETE_POOL, rng)
+        assert z.shape == (green.FEKETE_POOL,)
+        # point k * 64 + i is step k of orbit i: f maps it to its previous
+        w, prev = z[green.FEKETE_ORBITS:], z[:-green.FEKETE_ORBITS]
+        u, v = f.U(w, np.ones(len(w))), f.V(w, np.ones(len(w)))
+        assert np.all(np.abs(u - prev * v)
+                      <= 1e-9 * (np.abs(u) + np.abs(prev * v)))
+
+    def test_lost_orbits_restart_and_the_generator_use_is_fixed(self):
+        # [Y^2 : X^2] sends infinity to 0: at w = 0 every orbit's equation
+        # 1 - w z^2 = 0 has lost its leading coefficient
+        import arithdyn.green as green
+
+        class ZeroStart:
+            """A generator whose orbits all start at 0."""
+
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), 0
+
+            def normal(self, size):
+                self.calls += 1
+                return self.rng.normal(size=size) * (self.calls > 2)
+
+            def integers(self, high, size):
+                return self.rng.integers(high, size=size)
+
+        zero = ZeroStart(5)
+        z = green._julia_backward_samples(make_map((0, 0, 1), (1, 0, 0)),
+                                          256, zero)
+        assert np.all(np.isfinite(z))
+        # an orbit restarted at w_0 has |z| = |w_0|^(+-2^-k) at step k; the
+        # unused roots of the lost equations (+-i) would give |z| = 1
+        assert np.max(np.abs(np.log(np.abs(z[:64])))) > 1e-14
+        plain = np.random.default_rng(5)
+        green._julia_backward_samples(Z2P1, 256, plain)
+        assert zero.rng.bit_generator.state == plain.bit_generator.state
+
+    def test_pool_points_lie_on_the_julia_set_z2p1(self):
+        import arithdyn.green as green
+        pool, _ = green._fekete_pools(EscapeRateField(Z2P1), 0, 3)[0]
+        assert len(pool) == green.FEKETE_POOL
+        assert max(oracle_lambda_z2p1(w, 1) for w in pool) <= 1e-8
+
+    def test_pool_k_depends_only_on_seed_and_k(self):
+        import arithdyn.green as green
+        field = EscapeRateField(ZM1Z)
+        (z0, lam0), = green._fekete_pools(field, 0, 11)
+        z4, lam4 = green._fekete_pools(field, 4, 11)[0]
+        assert z0.tobytes() == z4.tobytes()
+        assert lam0.tobytes() == lam4.tobytes()
+
+    def test_deletions_match_a_full_recompute(self):
+        import arithdyn.green as green
+        rng = np.random.default_rng(2024)
+        fields = [EscapeRateField(Z2P1), EscapeRateField(ZM1Z)]
+        compared = 0
+        for k in range(200):
+            field = fields[k % 2]
+            n = int(rng.integers(3, 25))
+            target = int(rng.integers(2, n))
+            z = 1.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            lam = field.escape_vec(z, np.ones(n))
+            want, tie = reference_deletions(lam, z, target)
+            got = green._greedy_delete(field, list(z), target)
+            if not tie:
+                compared += 1
+                assert np.array_equal(np.array(got), want)
+        assert compared >= 190
+        # copies of a repeated point go first, then the best deletions
+        z = np.array([3.0, 0.1, 3.0, 0.12, 3.0, -1 + 1j])
+        got = green._greedy_delete(fields[0], list(z), 3)
+        rest = z[[1, 3, 4, 5]]
+        lam = fields[0].escape_vec(rest, np.ones(4))
+        want, tie = reference_deletions(lam, rest, 3)
+        assert not tie and np.array_equal(np.array(got), want)
+
+    def test_degree_three_rational_map(self):
+        n = 10
+        res = transfinite_diameter(EscapeRateField(CUBIC, tol=1e-10), n,
+                                   restarts=2, seed=0)
+        assert res.formula_value == 1.0  # |Res| = U(0, 1)^2 U(1, 0) = 1
+        assert res.delta_n >= res.formula_value
+        z = res.config
+        phi = sum(2 * math.log(abs(z[i] - z[j]))
+                  for i in range(n) for j in range(i + 1, n))
+        phi -= 2 * (n - 1) * sum(oracle_lambda_cubic(w) for w in z)
+        assert res.delta_n == pytest.approx(math.exp(phi / (n * (n - 1))),
+                                            rel=1e-8)
 
 
 def weighted_fekete_value(z):
