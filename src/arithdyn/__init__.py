@@ -10,8 +10,8 @@ from .dynamics import (LocalHeightLedger, OrbitRecord, RationalMap,
                        canonical_height_global, canonical_height_local,
                        commuting_height_agreement, good_reduction_at,
                        iterate, northcott_bound, preperiodic_points_rational)
-from .errors import (DegenerateMapError, IndeterminacyError,
-                     InvalidInputError, RepeatedRootError,
+from .errors import (DegenerateMapError, InconsistentResultError,
+                     IndeterminacyError, InvalidInputError, RepeatedRootError,
                      ResourceLimitError, UnsupportedScopeError)
 from .green import (EmpiricalMeasure, EscapeRateField, annulus_mass_bound,
                     baker_fit_constant, baker_mean_pairing, bilu_moment_test,

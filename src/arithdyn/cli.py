@@ -21,15 +21,14 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .algebraic import (AlgebraicNumber, is_root_of_unity,
                         local_height_breakdown, mahler_measure)
 from .dynamics import (RationalMap, canonical_height_global,
                        canonical_height_local, good_reduction_at,
                        preperiodic_points_rational)
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import (InconsistentResultError, InvalidInputError,
+                     ResourceLimitError)
 from .green import (EmpiricalMeasure, EscapeRateField, annulus_mass_bound,
                     baker_mean_pairing, bilu_moment_test, discrepancy,
                     discrete_energy, filled_julia_memberships,
@@ -148,8 +147,9 @@ def cmd_enumerate(args):
 
 def cmd_schanuel(args):
     ratio = schanuel_ratio(args.k, args.B)
+    # one rounding to nearest of a value known to 30 digits
     return {"k": args.k, "B": args.B, "ratio": ratio,
-            "error_bound": 1e-12}
+            "error_bound": math.ulp(ratio)}
 
 
 def cmd_mahler(args):
@@ -190,7 +190,15 @@ def cmd_canheight(args):
         led = canonical_height_local(f, x, args.tol)
         out["local"] = led.to_json()
     if args.method == "both":
-        out["gap"] = abs(out["global"]["value"] - out["local"]["total"])
+        g, loc = out["global"], out["local"]
+        out["gap"] = abs(g["value"] - loc["total"])
+        # decided exactly: two disjoint certified enclosures prove a defect
+        if abs(Fraction(g["value"]) - Fraction(loc["total"])) > \
+                Fraction(g["error"]) + Fraction(loc["total_error"]):
+            raise InconsistentResultError(
+                f"the global enclosure {g['value']!r} +- {g['error']!r} and "
+                f"the local one {loc['total']!r} +- {loc['total_error']!r} "
+                "are disjoint")
     return out
 
 
@@ -215,6 +223,7 @@ JULIA_GRID_CAP = 2 ** 20  # largest julia-sample grid, nx * ny points
 
 
 def cmd_julia_sample(args):
+    import numpy as np
     if args.nx * args.ny > JULIA_GRID_CAP:
         raise ResourceLimitError(JULIA_GRID_CAP, f"a {args.nx} x {args.ny} "
                                  f"grid exceeds {JULIA_GRID_CAP} points")

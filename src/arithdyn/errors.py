@@ -39,3 +39,8 @@ class ResourceLimitError(RuntimeError):
     def __init__(self, bound, message=None):
         self.bound = bound
         super().__init__(message or f"resource limit exceeded (bound: {bound})")
+
+
+class InconsistentResultError(RuntimeError):
+    """Two independent certified enclosures of one value are disjoint, which
+    proves a defect in at least one of them."""

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebraic import AlgebraicNumber, height_algebraic
 from .dynamics import RationalMap
 from .errors import (InvalidInputError, ResourceLimitError,
@@ -81,6 +79,7 @@ class EscapeRateField:
 
     def escape_vec(self, xs, ys):
         """Vectorized Lambda over numpy arrays of homogeneous coordinates."""
+        import numpy as np
         x = np.asarray(xs, dtype=complex).copy()
         y = np.asarray(ys, dtype=complex).copy()
         if np.any((x == 0) & (y == 0)):
@@ -100,7 +99,7 @@ class EscapeRateField:
         return acc
 
     def escape(self, x, y):
-        return float(self.escape_vec(np.array([x]), np.array([y]))[0])
+        return float(self.escape_vec([x], [y])[0])
 
     def certified_error(self):
         """Bound on |computed - true| for escape_vec at the default depth."""
@@ -139,12 +138,13 @@ def g_pairing(field: EscapeRateField, P1, P2):
     det = x1 * y2 - x2 * y1
     if det == 0:
         return math.inf
-    lam = field.escape_vec(np.array([x1, x2]), np.array([y1, y2]))
+    lam = field.escape_vec([x1, x2], [y1, y2])
     return float(-math.log(abs(det)) + lam[0] + lam[1] - field.res_term())
 
 
 def _pairwise_mean_g(field, pairs):
     """Mean of G over ordered distinct pairs; +inf when two points coincide."""
+    import numpy as np
     n = len(pairs)
     x = np.array([p[0] for p in pairs])
     y = np.array([p[1] for p in pairs])
@@ -311,6 +311,7 @@ def _julia_backward_samples(f: RationalMap, n, rng):
     leading coefficient starts afresh.  The generator is used the same way
     whatever the data.
     """
+    import numpy as np
     d, m = f.degree, FEKETE_ORBITS
     ucoef = np.array([complex(c) for c in f.U.coeffs])
     vcoef = np.array([complex(c) for c in f.V.coeffs])
@@ -334,6 +335,7 @@ def _julia_backward_samples(f: RationalMap, n, rng):
 def _fekete_pools(field, restarts, seed):
     """restarts + 1 pools of distinct backward-orbit points, each with
     Lambda(z, 1) at its points."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     pools = []
     for _ in range(restarts + 1):
@@ -344,6 +346,7 @@ def _fekete_pools(field, restarts, seed):
 
 
 def _config_objective(field, z):
+    import numpy as np
     n = len(z)
     z = np.asarray(z, dtype=complex)
     diff = np.abs(z[:, None] - z[None, :]) + np.eye(n)
@@ -361,6 +364,8 @@ def _discrete_fekete(pool, lam, n):
     weights matter for maps that are not polynomials, where Lambda(z, 1) is
     not zero on the Julia set.
     """
+    import numpy as np
+
     def kernel(j):
         with np.errstate(divide="ignore"):
             k = np.log(np.abs(pool - pool[j])) - lam - lam[j]
@@ -401,6 +406,7 @@ def _greedy_delete(field, config, target):
     constant less 2 (sum_j log|z_s - z_j| - (m - 2) Lambda(z_s)), so the
     best deletion minimizes that score; Lambda is computed once.
     """
+    import numpy as np
     z = np.asarray(config, dtype=complex)
     lam = field.escape_vec(z, np.ones(len(z)))
     with np.errstate(divide="ignore"):
@@ -440,12 +446,12 @@ def _pool_fekete(field, n, pools, warm_configs):
             raise ResourceLimitError(len(pool), f"a Fekete pool has only "
                                      f"{len(pool)} distinct points, n = {n}")
         cands.append((_discrete_fekete(pool, lam, n), True))
-    cands += [(np.array(_greedy_delete(field, cfg, n)), False)
+    cands += [(_greedy_delete(field, cfg, n), False)
               for cfg in warm_configs if len(cfg) >= n]
     best, best_cfg, converged = -math.inf, None, False
     for z, exchanged in cands:
         val = _config_objective(field, z)
-        if val > best and np.isfinite(val):
+        if val > best and math.isfinite(val):
             best, best_cfg, converged = val, list(z), exchanged
     d = field.degree
     return TransfiniteDiameterResult(

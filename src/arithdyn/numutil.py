@@ -1,9 +1,12 @@
 """Small integer-arithmetic helpers: factorization, primality, floats
 rounded upward and directed bounds on integer combinations of logarithms.
 
-Deterministic Miller-Rabin below 3.3e24 plus Brent's variant of Pollard rho,
-under an iteration budget, keeps resultants of desk-scale maps factorable
-without external dependencies.
+Miller-Rabin on the first 13 prime bases, deterministic below
+psi_13 = 3317044064679887385961981 (about 3.3e24; Sorenson & Webster,
+Math. Comp. 86, 2017), plus Brent's variant of Pollard rho under an
+iteration budget, keeps resultants of desk-scale maps factorable without
+external dependencies.  `factorize` refuses a cofactor that passes the test
+at or above psi_13, since nothing proves it prime.
 """
 
 from __future__ import annotations
@@ -22,13 +25,17 @@ from .polyforms import MP_PRECISION_LOCK
 RHO_BUDGET = 1 << 20    # polynomial steps per factorization, about 1 s
 RHO_BATCH = 128         # differences multiplied together per gcd
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _MR_BASES
+MR_DETERMINISTIC_BELOW = 3317044064679887385961981
 
 
 def is_prime(n):
+    """Strong probable-prime test to the bases _MR_BASES: exact for n below
+    MR_DETERMINISTIC_BELOW, a probable-prime verdict above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -84,7 +91,11 @@ def _brent_rho(n, budget):
 
 
 def factorize(n):
-    """Prime factorization of |n| as {p: exponent}; 0 and ±1 give {}."""
+    """Prime factorization of |n| as {p: exponent}; 0 and ±1 give {}.
+
+    ResourceLimitError when rho needs more than RHO_BUDGET steps, or when a
+    cofactor of at least MR_DETERMINISTIC_BELOW passes is_prime, which then
+    proves nothing."""
     n = abs(n)
     out = {}
     if n <= 1:
@@ -100,6 +111,11 @@ def factorize(n):
         if m == 1:
             continue
         if is_prime(m):
+            if m >= MR_DETERMINISTIC_BELOW:
+                raise ResourceLimitError(
+                    MR_DETERMINISTIC_BELOW, f"a {m.bit_length()}-bit cofactor "
+                    "passes Miller-Rabin above its deterministic range and "
+                    "is not proved prime")
             out[m] = out.get(m, 0) + 1
             continue
         d, steps = _brent_rho(m, budget)   # m is odd: 2 was divided out

@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 import mpmath as mpm
-import numpy as np
 from mpmath.libmp import round_ceiling, to_float
 
 from .errors import DegenerateMapError, InvalidInputError, RepeatedRootError
@@ -522,6 +521,7 @@ class CertifiedRoot:
 
 
 def _initial_guesses(coeffs):
+    import numpy as np
     d = len(coeffs) - 1
     try:
         fs = [float(c) for c in reversed(coeffs)]

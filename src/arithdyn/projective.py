@@ -166,16 +166,20 @@ def enumerate_points(k, B):
 
 
 def schanuel_ratio(k, B):
-    """N(B) / (2^k B^(k+1) / zeta(k+1)) with B an *exponential* height bound."""
+    """N(B) / (2^k B^(k+1) / zeta(k+1)) with B an *exponential* height bound.
+
+    N(B) / (2^k B^(k+1)) is an exact rational; its product with zeta(k+1)
+    is taken at 30 digits and rounded to a float once, so the result is
+    within one ulp of the true ratio."""
     if not B >= 2:
         raise InvalidInputError("need B >= 2")
     if B > COUNT_CAP:
         raise ResourceLimitError(B, f"B = {B} exceeds the cap {COUNT_CAP}")
     Hmax = int(B)
     n = count_points(k, Hmax)
-    with MP_PRECISION_LOCK:   # reads mpmath's global precision and caches
-        zeta = float(mpm.zeta(k + 1))  # well beyond 1e-12 accuracy
-    return n * zeta / (2 ** k * float(B) ** (k + 1))
+    q = Fraction(n) / (2 ** k * Fraction(B) ** (k + 1))
+    with MP_PRECISION_LOCK, mpm.workdps(30):
+        return float(mpm.mpf(q.numerator) / q.denominator * mpm.zeta(k + 1))
 
 
 # ---------------------------------------------------------------------------

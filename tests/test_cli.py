@@ -11,6 +11,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,12 @@ CUBIC = '{"d":3,"U":[1,0,1,1],"V":[0,0,1,0]}'
 # budget
 UNFACTORABLE = ('{"d":4,"U":[-715337,817236,-190296,-616583,315427],'
                 '"V":[-676755,-348182,905102,-521046,715054]}')
+# Res = psi_12 = 399165290221 * 798330580441, the least strong pseudoprime
+# to the bases 2..37
+PSI_12 = 318665857834031151167461
+PSI_12_MAP = json.dumps({"d": 2, "U": [1, 1, 0], "V": [0, PSI_12 - 1, PSI_12]})
+PSI_12_CANHEIGHT = ["canheight", "--map", PSI_12_MAP, "--point",
+                    "399165290221/1", "--tol", "1e-6", "--method", "both"]
 
 
 def run_cli(args, capsys):
@@ -43,6 +50,30 @@ class TestSpecExamples:
         assert data["gap"] < 2e-8
         assert data["global"]["error"] <= 1e-8
         assert data["local"]["total_error"] <= 1e-8
+
+    def test_canheight_routes_agree_when_res_is_a_pseudoprime(self, capsys):
+        # psi_12 passes Miller-Rabin to the bases 2..37; taken for a prime,
+        # it hid the place 399165290221 and the local total read 67.475
+        code, data = run_cli(PSI_12_CANHEIGHT, capsys)
+        assert code == 0
+        assert set(data["local"]["finite_places"]) == {"399165290221",
+                                                       "798330580441"}
+        assert data["gap"] <= data["global"]["error"] \
+            + data["local"]["total_error"]
+        assert data["global"]["value"] == pytest.approx(54.1184297, abs=1e-6)
+
+    def test_disjoint_enclosures_end_in_the_error_object(self, capsys,
+                                                          monkeypatch):
+        import jsonschema
+        from arithdyn import dynamics
+        from arithdyn.cli import load_schema
+        factorize = dynamics.factorize
+        monkeypatch.setattr(dynamics, "factorize", lambda n: {PSI_12: 1}
+                            if abs(n) == PSI_12 else factorize(n))
+        code, data = run_cli(PSI_12_CANHEIGHT, capsys)
+        assert code == 1
+        jsonschema.validate(data, load_schema("error"))
+        assert data["error"] == "InconsistentResultError"
 
     def test_preperiodic_power_map(self, capsys):
         code, data = run_cli(["preperiodic", "--map", POWER2], capsys)
@@ -77,6 +108,17 @@ class TestSubcommands:
     def test_schanuel(self, capsys):
         code, data = run_cli(["schanuel", "--k", "1", "--B", "100"], capsys)
         assert code == 0 and data["ratio"] == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("k,B", [(1, "1000"), (2, "50.5"), (3, "12")])
+    def test_schanuel_error_bound_covers_the_ratio(self, k, B, capsys):
+        from arithdyn.projective import count_points
+        code, data = run_cli(["schanuel", "--k", str(k), "--B", B], capsys)
+        assert code == 0
+        with mpmath.workdps(50):
+            ref = count_points(k, int(float(B))) * mpmath.zeta(k + 1) \
+                / (2 ** k * mpmath.mpf(B) ** (k + 1))
+            assert abs(mpmath.mpf(data["ratio"]) - ref) <= data["error_bound"]
+        assert data["error_bound"] <= math.ulp(data["ratio"])
 
     def test_algheight(self, capsys):
         code, data = run_cli(["algheight", "--poly=-1,2"], capsys)
@@ -236,6 +278,44 @@ def test_import_loads_no_scipy():
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+# README examples that use only exact integers and libmp
+NUMPY_FREE = {"canheight", "preperiodic", "height", "enumerate", "schanuel",
+              "goodred", "tdiam", "bilu", "torus"}
+
+
+def test_numpy_free_commands_load_no_numpy(tmp_path, capsys, monkeypatch):
+    # numpy takes about 0.1 s of every CLI process that imports it; the
+    # commands above (tdiam on a power map) never touch a float array
+    examples = [a for a in README_EXAMPLES if a[0] in NUMPY_FREE]
+    assert {a[0] for a in examples} == NUMPY_FREE and len(examples) == 11
+    julia = next(a for a in README_EXAMPLES if a[0] == "julia-sample")
+    code = ("import contextlib, io, json, sys\n"
+            "import arithdyn\n"
+            "print(json.dumps('numpy' in sys.modules))\n"
+            "from arithdyn.cli import main\n"
+            "for argv in json.loads(sys.argv[1]) + [json.loads(sys.argv[2])]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        status = main(argv)\n"
+            "    print(json.dumps([argv[0], status, 'numpy' in sys.modules,\n"
+            "                      json.loads(out.getvalue())]))\n")
+    src = str(Path(arithdyn.__file__).parents[1])
+    child = tmp_path / "child"
+    child.mkdir()
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(examples),
+                           json.dumps(julia)], capture_output=True, text=True,
+                          cwd=child, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert lines[0] is False
+    assert [line[:3] for line in lines[1:-1]] == [[a[0], 0, False]
+                                                   for a in examples]
+    monkeypatch.chdir(tmp_path)
+    status, payload = run_cli(julia, capsys)
+    assert lines[-1] == ["julia-sample", 0, True, payload] and status == 0
+    assert (child / "grid.csv").read_bytes() == (tmp_path / "grid.csv") \
+        .read_bytes()
 
 
 class TestErrorHandling:

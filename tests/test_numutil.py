@@ -13,6 +13,9 @@ from arithdyn.numutil import factorize, float_up, is_prime, log_up
 # Res(U, V) of the degree-4 map U = (-715337, 817236, -190296, -616583,
 # 315427), V = (-676755, -348182, 905102, -521046, 715054)
 HARD_RES = 471242863642419673079137355098071521665910992681
+# the least strong pseudoprimes to the first 12 and the first 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def test_factorize_round_trip():
@@ -29,6 +32,18 @@ def test_factorize_round_trip():
 def test_factorize_budget_raises():
     with pytest.raises(ResourceLimitError):
         factorize(HARD_RES)
+
+
+def test_strong_pseudoprime_to_bases_2_to_37_is_split():
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert not is_prime(PSI_12) and is_prime(41) and is_prime(43)
+
+
+def test_probable_prime_beyond_the_deterministic_range_raises():
+    # psi_13 passes every base up to 41, and nothing proves it prime
+    assert is_prime(PSI_13)
+    with pytest.raises(ResourceLimitError):
+        factorize(PSI_13)
 
 
 def test_float_up_and_log_up_bound_from_above():
