@@ -3,15 +3,22 @@
 Everything here lives over the complex numbers.  The homogeneous escape
 rate Lambda(x, y) = lim d^-n log max(|U_n|, |V_n|) is evaluated by
 renormalized iteration with an explicit tail bound from the two-sided
-compacity inequality; the pairing
+compacity inequality.  One recurrence, `EscapeRateField._lambda`, does it:
+on Python complex numbers with math.log for one point (`escape`,
+membership, the pairing), where numpy's per-call cost would dominate, and
+on numpy arrays for many.  The pairing
 
     G(P1, P2) = -log|x1 y2 - x2 y1| + Lambda(P1) + Lambda(P2)
                 - log|Res(U, V)| / (d (d-1))
 
-is scale-invariant and symmetric, +infinity on the diagonal.  Fekete
-configurations maximize the product of |x_i y_j - x_j y_i| over the filled
-Julia set.  The objective, the pairwise log-distance sum minus
-2(n-1) sum Lambda, is unchanged when one point is scaled, so it is
+is scale-invariant and symmetric, +infinity on the diagonal.  Its means
+over point sets (Baker means, energies, discrepancies) sum the
+log-determinants over i < j a block of rows at a time, at most PAIR_BLOCK
+entries per block, so memory does not grow with n^2; point sets of more
+than PAIR_POINT_CAP points raise ResourceLimitError before they are
+built.  Fekete configurations maximize the product of |x_i y_j - x_j y_i|
+over the filled Julia set.  The objective, the pairwise log-distance sum
+minus 2(n-1) sum Lambda, is unchanged when one point is scaled, so it is
 evaluated at affine points (z, 1).  For power maps, where Lambda = log
 max(|x|, |y|), Hadamard's inequality on the homogeneous Vandermonde
 determinant makes the n-th roots of unity a maximizer, so delta_n =
@@ -34,6 +41,16 @@ from .numutil import factorize
 from .polyforms import discriminant, vp
 
 INF = "inf"  # marker for [1:0] in point lists
+
+
+def _log(t):
+    # math.log with np.log's values at 0 and NaN
+    return math.log(t) if t > 0 else -math.inf if t == 0 else math.nan
+
+
+def _nan_max(a, b):
+    # max that propagates NaN from either argument, as np.maximum does
+    return a if a >= b or a != a else b
 
 
 def __getattr__(name):
@@ -77,29 +94,43 @@ class EscapeRateField:
             K += 1
         return K
 
-    def escape_vec(self, xs, ys):
-        """Vectorized Lambda over numpy arrays of homogeneous coordinates."""
-        import numpy as np
-        x = np.asarray(xs, dtype=complex).copy()
-        y = np.asarray(ys, dtype=complex).copy()
-        if np.any((x == 0) & (y == 0)):
-            raise InvalidInputError("(0, 0) has no escape rate")
+    def _lambda(self, x, y, log, maximum):
+        """The escape-rate recurrence, for Python complex x, y with _log and
+        _nan_max or for numpy arrays with np.log and np.maximum."""
+        m = maximum(abs(x), abs(y))
+        acc = log(m)
         if self._exact_power:
-            return np.log(np.maximum(np.abs(x), np.abs(y)))
-        m = np.maximum(np.abs(x), np.abs(y))
-        acc = np.log(m)
+            return acc
+        U, V, d = self.map.U, self.map.V, self.degree
         x, y = x / m, y / m
         w = 1.0
         for _ in range(self.depth):
-            X, Y = self.map.U(x, y), self.map.V(x, y)
-            m = np.maximum(np.abs(X), np.abs(Y))
-            w /= self.degree
-            acc = acc + w * np.log(m)
+            X, Y = U(x, y), V(x, y)
+            m = maximum(abs(X), abs(Y))
+            w /= d
+            acc = acc + w * log(m)
             x, y = X / m, Y / m
         return acc
 
+    def escape_vec(self, xs, ys):
+        """Vectorized Lambda over numpy arrays of homogeneous coordinates."""
+        import numpy as np
+        x = np.asarray(xs, dtype=complex)
+        y = np.asarray(ys, dtype=complex)
+        if np.any((x == 0) & (y == 0)):
+            raise InvalidInputError("(0, 0) has no escape rate")
+        return self._lambda(x, y, np.log, np.maximum)
+
     def escape(self, x, y):
-        return float(self.escape_vec([x], [y])[0])
+        """Lambda at one point, without numpy; NaN where escape_vec gives
+        NaN (a non-finite coordinate)."""
+        x, y = complex(x), complex(y)
+        if x == 0 and y == 0:
+            raise InvalidInputError("(0, 0) has no escape rate")
+        try:
+            return float(self._lambda(x, y, _log, _nan_max))
+        except ZeroDivisionError:  # an orbit fell on (0, 0): NaN in numpy
+            return math.nan
 
     def certified_error(self):
         """Bound on |computed - true| for escape_vec at the default depth."""
@@ -117,18 +148,21 @@ def escape_rate(field: EscapeRateField, x, y):
     return field.escape(x, y)
 
 
+def _label(lam, margin):
+    return ("inside" if lam <= -margin else
+            "outside" if lam >= margin else "boundary-uncertain")
+
+
 def filled_julia_membership(field: EscapeRateField, x, y):
     """'inside' / 'outside' / 'boundary-uncertain' by the sign of Lambda."""
-    return filled_julia_memberships(field, [x], [y])[0]
+    return _label(field.escape(x, y), field.certified_error())
 
 
 def filled_julia_memberships(field: EscapeRateField, xs, ys):
     """filled_julia_membership at each point of two coordinate arrays, from
     one escape_vec call."""
     margin = field.certified_error()
-    return ["inside" if lam <= -margin else
-            "outside" if lam >= margin else "boundary-uncertain"
-            for lam in field.escape_vec(xs, ys).tolist()]
+    return [_label(lam, margin) for lam in field.escape_vec(xs, ys).tolist()]
 
 
 def g_pairing(field: EscapeRateField, P1, P2):
@@ -138,29 +172,51 @@ def g_pairing(field: EscapeRateField, P1, P2):
     det = x1 * y2 - x2 * y1
     if det == 0:
         return math.inf
-    lam = field.escape_vec([x1, x2], [y1, y2])
-    return float(-math.log(abs(det)) + lam[0] + lam[1] - field.res_term())
+    return (-math.log(abs(det)) + field.escape(x1, y1) + field.escape(x2, y2)
+            - field.res_term())
+
+
+PAIR_POINT_CAP = 2 ** 14  # most points of a pairwise statistic
+PAIR_BLOCK = 2 ** 18  # most entries of one block of pairwise determinants
+
+
+def _check_point_count(n):
+    if n > PAIR_POINT_CAP:
+        raise ResourceLimitError(PAIR_POINT_CAP, f"{n} points exceed the "
+                                 f"point cap {PAIR_POINT_CAP}")
 
 
 def _pairwise_mean_g(field, pairs):
-    """Mean of G over ordered distinct pairs; +inf when two points coincide."""
+    """Mean of G over ordered distinct pairs; +inf when two points coincide.
+
+    G is symmetric, so the log-determinant sum runs over i < j, a block of
+    rows at a time: no block holds more than PAIR_BLOCK determinants."""
     import numpy as np
     n = len(pairs)
     x = np.array([p[0] for p in pairs])
     y = np.array([p[1] for p in pairs])
-    det = np.outer(x, y) - np.outer(y, x)  # det[i,j] = x_i y_j - x_j y_i
-    mask = ~np.eye(n, dtype=bool)
-    if np.any(np.abs(det[mask]) == 0):
-        return math.inf
-    lam = field.escape_vec(x, y)
-    s = -np.sum(np.log(np.abs(det[mask])))
-    s += 2 * (n - 1) * np.sum(lam)
+    rows = max(1, PAIR_BLOCK // n)
+    logs = 0.0
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n - 1)
+        # det[r, c] = x_i y_j - x_j y_i with i = a + r, j = a + 1 + c
+        det = np.multiply.outer(x[a:b], y[a + 1:])
+        det -= np.multiply.outer(y[a:b], x[a + 1:])
+        mod = np.abs(det)
+        del det
+        mod[np.tril_indices(b - a, -1, n - a - 1)] = 1.0  # the pairs j <= i
+        if np.any(mod == 0):
+            return math.inf
+        logs += float(np.sum(np.log(mod)))
+    s = -2 * logs
+    s += 2 * (n - 1) * np.sum(field.escape_vec(x, y))
     s -= n * (n - 1) * field.res_term()
     return float(s / (n * (n - 1)))
 
 
 def baker_mean_pairing(field: EscapeRateField, points):
     """(1/n(n-1)) sum_{i != j} G(P_i, P_j) over a point list."""
+    _check_point_count(len(points))
     pairs = [as_pair(p) for p in points]
     if len(pairs) < 2:
         raise InvalidInputError("need at least two points")
@@ -205,11 +261,13 @@ class EmpiricalMeasure:
 
     @classmethod
     def roots_of_unity(cls, n):
+        _check_point_count(n)
         return cls([cmath.exp(2j * math.pi * k / n) for k in range(n)])
 
     @classmethod
     def primitive_roots_of_unity(cls, p):
         """All primitive p-th roots for prime p (every root except 1)."""
+        _check_point_count(p - 1)
         return cls([cmath.exp(2j * math.pi * k / p) for k in range(1, p)])
 
     def affine(self):
@@ -225,6 +283,7 @@ class EmpiricalMeasure:
 
 def discrete_energy(field: EscapeRateField, nu: EmpiricalMeasure):
     """Mean off-diagonal pairwise G, the discrete energy of nu."""
+    _check_point_count(len(nu))
     pts = list(nu.points)
     if len(set(pts)) < 2:
         raise InvalidInputError("energy needs at least two distinct points")

@@ -170,7 +170,10 @@ def schanuel_ratio(k, B):
 
     N(B) / (2^k B^(k+1)) is an exact rational; its product with zeta(k+1)
     is taken at 30 digits and rounded to a float once, so the result is
-    within one ulp of the true ratio."""
+    within one ulp of the true ratio.  The constant needs k >= 1 (zeta(1)
+    is a pole)."""
+    if not k >= 1:
+        raise InvalidInputError(f"need k >= 1 (--k), got {k}")
     if not B >= 2:
         raise InvalidInputError("need B >= 2")
     if B > COUNT_CAP:

@@ -439,6 +439,32 @@ class TestRejections:
                                    capsys)
         assert code == 1 and data["error"] == "ResourceLimitError"
 
+    @pytest.mark.parametrize("argv", [
+        ["baker", "--map", POWER2, "--roots-of-unity", "100000"],
+        ["bilu", "--family", "all:100000", "--exponents", "1"],
+    ], ids=["baker", "bilu"])
+    def test_point_count_beyond_cap(self, argv, capsys):
+        # the n x n determinants of 10^5 points would take 160 GB
+        start = time.monotonic()
+        code, data = self.rejected(argv, capsys)
+        assert time.monotonic() - start < 5
+        assert code == 1 and data["error"] == "ResourceLimitError"
+
+    def test_energy_cloud_beyond_cap(self, tmp_path, capsys):
+        cloud = tmp_path / "big.csv"
+        cloud.write_text("re,im\n" + "".join(f"{k},0\n"
+                                             for k in range(100000)))
+        code, data = self.rejected(["energy", "--map", POWER2, "--cloud",
+                                    str(cloud)], capsys)
+        assert code == 1 and data["error"] == "ResourceLimitError"
+
+    def test_schanuel_k_zero(self, capsys):
+        # zeta(1) is a pole; the message names the option
+        code, data = self.rejected(["schanuel", "--k", "0", "--B", "10"],
+                                   capsys)
+        assert code == 1 and data["error"] == "InvalidInputError"
+        assert "--k" in data["message"]
+
     def test_non_finite_result_is_not_printed(self, tmp_path, capsys):
         # a repeated point makes the mean pairing +inf, which is not JSON
         cloud = tmp_path / "dup.csv"

@@ -15,11 +15,13 @@ from arithdyn.algebraic import AlgebraicNumber, cyclotomic_number
 from arithdyn.dynamics import RationalMap
 from arithdyn.errors import (InvalidInputError, ResourceLimitError,
                              UnsupportedScopeError)
-from arithdyn.green import (INF, POWER_D_CAP, EmpiricalMeasure,
-                            EscapeRateField, annulus_mass_bound,
+from arithdyn.green import (INF, PAIR_POINT_CAP, POWER_D_CAP,
+                            EmpiricalMeasure, EscapeRateField,
+                            _pairwise_mean_g, annulus_mass_bound,
                             baker_fit_constant, baker_mean_pairing,
                             bilu_moment_test, discrepancy, discrete_energy,
-                            escape_rate, filled_julia_membership, g_pairing,
+                            escape_rate, filled_julia_membership,
+                            filled_julia_memberships, g_pairing,
                             height_discrepancy_check, height_discrepancy_terms,
                             transfinite_diameter, transfinite_diameter_sweep)
 from arithdyn.polyforms import BinaryForm, IntPoly, cyclotomic, discriminant
@@ -34,6 +36,8 @@ POWER2 = make_map((1, 0, 0), (0, 0, 1))
 POWER3 = make_map((1, 0, 0, 0), (0, 0, 0, 1))
 Z2P1 = make_map((1, 0, 1), (0, 0, 1))
 ZM1Z = make_map((1, 0, -1), (0, 1, 0))           # z - 1/z
+Z2M1 = make_map((1, 0, -1), (0, 0, 1))
+CUBIC = make_map((1, 0, 0, 1), (0, 2, 0, 0))     # (z^3 + 1) / (2 z^2)
 
 
 def oracle_lambda_z2p1(x, y, K=40):
@@ -99,6 +103,88 @@ class TestEscapeRate:
     def test_origin_rejected(self):
         with pytest.raises(InvalidInputError):
             escape_rate(EscapeRateField(POWER2), 0, 0)
+
+
+class TestScalarAndArrayPaths:
+    """`escape` (Python complex) and `escape_vec` (numpy arrays) run one
+    recurrence; their values agree to rounding and their labels agree."""
+
+    MAPS = [Z2P1, Z2M1, ZM1Z, CUBIC]
+
+    @staticmethod
+    def random_points(rng, k):
+        xs, ys = [], []
+        for _ in range(k):
+            xs.append(complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)))
+            # a quarter of the points are not affine-normalized
+            ys.append(1.0 if rng.random() < 0.75 else
+                      complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        return xs, ys
+
+    @pytest.mark.parametrize("f", MAPS, ids=["z^2+1", "z^2-1", "z-1/z",
+                                             "cubic"])
+    def test_values_and_labels_agree(self, f):
+        # 3000 points over the four maps
+        field = EscapeRateField(f, tol=1e-9)
+        xs, ys = self.random_points(random.Random(12), 750)
+        xs.append(1.0)
+        ys.append(0.0)  # the point at infinity
+        vec = field.escape_vec(xs, ys).tolist()
+        for x, y, want in zip(xs, ys, vec):
+            got = field.escape(x, y)
+            assert abs(got - want) <= 8 * math.ulp(max(1.0, abs(want)))
+        labels = filled_julia_memberships(field, xs, ys)
+        assert [filled_julia_membership(field, x, y)
+                for x, y in zip(xs, ys)] == labels
+        assert {"inside", "outside"} <= set(labels)
+
+    @pytest.mark.parametrize("f", MAPS, ids=["z^2+1", "z^2-1", "z-1/z",
+                                             "cubic"])
+    def test_non_finite_points(self, f):
+        field = EscapeRateField(f, tol=1e-9)
+        pts = [(complex(math.inf, 0), 1.0), (complex(0, -math.inf), 1.0),
+               (complex(math.nan, 0), 1.0), (complex(1, math.nan), 1.0),
+               (0.5, complex(math.inf, math.inf))]
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        with np.errstate(invalid="ignore"):
+            assert all(math.isnan(v) for v in field.escape_vec(xs, ys))
+            assert filled_julia_memberships(field, xs, ys) == \
+                ["boundary-uncertain"] * len(pts)
+        assert all(math.isnan(field.escape(x, y)) for x, y in pts)
+        assert all(filled_julia_membership(field, x, y) == "boundary-uncertain"
+                   for x, y in pts)
+
+    def test_nan_in_either_coordinate(self):
+        # Lambda = log max(|x|, |y|) for a power map: the maximum must
+        # propagate NaN from either argument, as np.maximum does
+        field = EscapeRateField(POWER2)
+        for x, y in ((0.5, complex(math.nan, 0)), (complex(math.nan, 0), 0.5)):
+            assert math.isnan(field.escape_vec([x], [y])[0])
+            assert math.isnan(field.escape(x, y))
+
+    def test_orbit_through_the_origin(self):
+        # U(1, 1) = 0 exactly and V(1, 1) = 10^16 - (10^16 + 1) rounds to 0
+        field = EscapeRateField(make_map((1, 0, -1),
+                                         (10 ** 16, 0, -(10 ** 16 + 1))))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert math.isnan(field.escape_vec([1.0], [1.0])[0])
+        assert math.isnan(field.escape(1.0, 1.0))
+        assert filled_julia_membership(field, 1.0, 1.0) == "boundary-uncertain"
+
+    def test_origin_rejected_on_both_paths(self):
+        field = EscapeRateField(Z2P1)
+        with pytest.raises(InvalidInputError):
+            field.escape(0, 0)
+        with pytest.raises(InvalidInputError):
+            field.escape_vec([1, 0], [1, 0])
+
+    def test_g_pairing_from_the_escape_rates(self):
+        field = EscapeRateField(CUBIC, tol=1e-10)
+        p1, p2 = 0.3 - 1.1j, (1.7, 0.5 + 0.2j)
+        lam = field.escape_vec([p1, p2[0]], [1, p2[1]])
+        want = (-math.log(abs(p1 * p2[1] - p2[0])) + lam[0] + lam[1]
+                - field.res_term())
+        assert g_pairing(field, p1, p2) == pytest.approx(want, rel=1e-14)
 
 
 class TestMembership:
@@ -561,6 +647,87 @@ class TestPowerMapFekete:
         n = len(pts)
         value = weighted_fekete_value([complex(x, y) for x, y in pts])
         assert value <= n ** (1 / (n - 1)) * (1 + 1e-9)
+
+
+def naive_mean_g(field, points):
+    """Mean of G over ordered distinct pairs by a double loop over the
+    points, summed with math.fsum."""
+    pairs = [(complex(x), complex(y)) for x, y in
+             (p if isinstance(p, tuple) else (1, 0) if p == INF else (p, 1)
+              for p in points)]
+    lam = [field.escape(x, y) for x, y in pairs]
+    terms = []
+    for i, (xi, yi) in enumerate(pairs):
+        for j, (xj, yj) in enumerate(pairs):
+            if i != j:
+                det = abs(xi * yj - xj * yi)
+                if det == 0:
+                    return math.inf
+                terms.append(-math.log(det) + lam[i] + lam[j])
+    n = len(pairs)
+    return math.fsum(terms) / (n * (n - 1)) - field.res_term()
+
+
+class TestPairwiseMeanG:
+    """The block sum over i < j against a double loop over i != j."""
+
+    @pytest.mark.parametrize("n", [2, 3, 257, 1000])
+    @pytest.mark.parametrize("f", [POWER2, Z2P1], ids=["z^2", "z^2+1"])
+    def test_against_the_double_loop(self, f, n):
+        field = EscapeRateField(f, tol=1e-10)
+        rng = random.Random(n)
+        pts = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+               for _ in range(n - 1)] + [INF]
+        rng.shuffle(pts)
+        got = baker_mean_pairing(field, pts)
+        want = naive_mean_g(field, pts)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n,i,j", [(3, 0, 2), (257, 4, 250),
+                                       (1000, 5, 900), (1000, 700, 999),
+                                       (1000, 998, 999)])
+    def test_a_duplicate_point_gives_infinity(self, n, i, j):
+        field = EscapeRateField(Z2P1, tol=1e-10)
+        pts = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+        pts[j] = pts[i]
+        assert baker_mean_pairing(field, pts) == math.inf
+        # the same point in other coordinates coincides too
+        pairs = [(z, 1.0) for z in pts]
+        pairs[j] = (3 * pts[i], 3.0)
+        assert _pairwise_mean_g(field, pairs) == math.inf
+
+    def test_memory_is_bounded_by_the_block(self):
+        import tracemalloc
+        field = EscapeRateField(POWER2)
+        pts = [cmath.exp(2j * math.pi * k / 2000) for k in range(2000)]
+        baker_mean_pairing(field, pts[:10])  # numpy's one-time state
+        tracemalloc.start()
+        try:
+            mean = baker_mean_pairing(field, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mean == pytest.approx(-math.log(2000) / 1999, rel=1e-12)
+        # the n x n arrays of a full sum take more than 150 MB here
+        assert peak < 16 * 2 ** 20
+
+    def test_point_count_capped(self):
+        field = EscapeRateField(POWER2)
+        n = PAIR_POINT_CAP + 1
+        pts = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+        with pytest.raises(ResourceLimitError):
+            baker_mean_pairing(field, pts)
+        with pytest.raises(ResourceLimitError):
+            discrete_energy(field, EmpiricalMeasure(pts))
+        with pytest.raises(ResourceLimitError):
+            EmpiricalMeasure.roots_of_unity(n)
+        with pytest.raises(ResourceLimitError):
+            EmpiricalMeasure.primitive_roots_of_unity(n + 1)
+        # the cap is checked before any point is built
+        with pytest.raises(ResourceLimitError):
+            EmpiricalMeasure.roots_of_unity(10 ** 12)
+        assert len(EmpiricalMeasure.roots_of_unity(PAIR_POINT_CAP)) == \
+            PAIR_POINT_CAP
 
 
 class TestEnergy:

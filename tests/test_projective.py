@@ -127,6 +127,11 @@ class TestSchanuel:
         with pytest.raises(InvalidInputError):
             schanuel_ratio(1, 1)
 
+    def test_needs_k_at_least_1(self):
+        # zeta(k + 1) has its pole at k = 0
+        with pytest.raises(InvalidInputError, match="--k"):
+            schanuel_ratio(0, 10)
+
 
 class TestSegreVeronese:
     def test_segre_examples(self):
