@@ -19,10 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mpm
+from mpmath.libmp import (fone, from_float, from_int, mpf_add, mpf_gt,
+                          mpf_log, mpf_mul, mpf_sqrt, mpf_sub)
+from mpmath.libmp import round_ceiling as UP
+from mpmath.libmp import round_floor as DOWN
 
 from .errors import InvalidInputError, RepeatedRootError
-from .numutil import factorize
+from .numutil import factorize, reported
 from .polyforms import MP_PRECISION_LOCK, IntPoly, cyclotomic, euler_phi
 
 DEFAULT_TOL = 1e-12
@@ -65,41 +68,58 @@ class AlgebraicNumber:
 class MahlerResult:
     measure: float
     log_measure: float
-    error_bound: float
-    archimedean_part: float  # sum of log max(1, |root|)
+    error_bound: float        # of log_measure
+    archimedean_part: float   # sum of log max(1, |root|)
     leading_coeff: int
+    measure_error: float
+
+
+MAHLER_PREC = 128  # bits of the directed products and logs of mahler_measure
+
+
+def _at_least_one(x):
+    return x if mpf_gt(x, fone) else fone
 
 
 def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
-    """M(P) = |a_0| prod max(1, |xi_i|) with a certified error bound.
+    """M(P) = |a_0| prod max(1, |xi_i|) with certified error bounds.
 
-    The error bound covers the root inclusion radii; log-max factors are
-    bracketed by [max(1, |z|-r), max(1, |z|+r)] per root.
+    Each root's factor lies in [max(1, |z| - r), max(1, |z| + r)] for its
+    inclusion disk (z, r), with |z| the square root of its exact square.
+    The products of these ends, rounded down and up, enclose the
+    archimedean product and M; libmp logs rounded the same way enclose their
+    logs.  `measure` and `log_measure` each come with the least float that
+    bounds their distance to their enclosure (`numutil.reported`).
     """
     if P.is_zero():
         raise InvalidInputError("zero polynomial has no Mahler measure")
     P = P.primitive()
     if P.degree == 0:
-        return MahlerResult(1.0, 0.0, 0.0, 0.0, 1)
+        return MahlerResult(1.0, 0.0, 0.0, 0.0, 1, 0.0)
     if not P.is_squarefree():
         raise RepeatedRootError(
             "non-squarefree input; take squarefree_part() first so root "
             "multiplicities are explicit")
-    work = P
-    root_tol = min(tol * 1e-2, 1e-13)
-    zz, radii = work.certified_roots(root_tol)
-    with MP_PRECISION_LOCK, mpm.workdps(40):
-        lo = mpm.mpf(0)
-        hi = mpm.mpf(0)
-        for z, r in zip(zz, radii):
-            a = abs(z)
-            lo += mpm.log(max(1, a - r))
-            hi += mpm.log(max(1, a + r))
-        arch = (lo + hi) / 2
-        err = float((hi - lo) / 2) + 1e-15
-        log_m = mpm.log(abs(work.lead)) + arch
-        return MahlerResult(float(mpm.exp(log_m)), float(log_m), err,
-                            float(arch), int(work.lead))
+    zz, radii = P.certified_roots(min(tol * 1e-2, 1e-13))
+    prec = MAHLER_PREC
+    lo = hi = fone
+    for z, r in zip(zz, radii):
+        re, im = z._mpc_
+        square = mpf_add(mpf_mul(re, re), mpf_mul(im, im))   # exact
+        r = from_float(r)
+        lo = mpf_mul(lo, _at_least_one(mpf_sub(
+            mpf_sqrt(square, prec, DOWN), r, prec, DOWN)), prec, DOWN)
+        hi = mpf_mul(hi, _at_least_one(mpf_add(
+            mpf_sqrt(square, prec, UP), r, prec, UP)), prec, UP)
+    lead = from_int(abs(P.lead))
+    m_lo, m_hi = mpf_mul(lo, lead, prec, DOWN), mpf_mul(hi, lead, prec, UP)
+    with MP_PRECISION_LOCK:
+        logs = [mpf_log(x, prec, rnd) for x, rnd in
+                ((lo, DOWN), (hi, UP), (m_lo, DOWN), (m_hi, UP))]
+    log_m, err = reported(logs[2], logs[3], prec)
+    measure, measure_err = reported(m_lo, m_hi, prec)
+    return MahlerResult(measure, log_m, err, reported(*logs[:2], prec)[0],
+                        int(P.lead), measure_err)
 
 
 def height_algebraic(xi: AlgebraicNumber, tol=DEFAULT_TOL):

@@ -33,6 +33,7 @@ from .green import (EmpiricalMeasure, EscapeRateField, annulus_mass_bound,
                     baker_mean_pairing, bilu_moment_test, discrepancy,
                     discrete_energy, filled_julia_memberships,
                     height_discrepancy_terms, transfinite_diameter)
+from .numutil import error_around, float_up, log_bounds
 from .polyforms import IntPoly
 from .projective import ProjPointQ, enumerate_points, schanuel_ratio
 from .torus import TorusPoint, monomial_pushforward, subadditivity_check, torus_height
@@ -127,9 +128,15 @@ def _dumps(payload):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
+HEIGHT_PREC = 80   # bits of the libmp enclosure of log H
+
+
 def cmd_height(args):
     x = parse_point(args.point)
-    return {"point": str(x), "H": x.H(), "h": x.height(), "error_bound": 0.0}
+    H, h = x.H(), x.height()
+    # h is math.log(H) rounded to a float; bound its distance to log H
+    err = error_around(h, *log_bounds(((1, H),), HEIGHT_PREC), HEIGHT_PREC)
+    return {"point": str(x), "H": H, "h": h, "error_bound": err}
 
 
 def cmd_enumerate(args):
@@ -154,8 +161,8 @@ def cmd_schanuel(args):
 
 def cmd_mahler(args):
     res = mahler_measure(parse_poly(args.poly), args.tol)
-    return {"measure": res.measure, "log_measure": res.log_measure,
-            "error_bound": res.error_bound,
+    return {"measure": res.measure, "measure_error": res.measure_error,
+            "log_measure": res.log_measure, "error_bound": res.error_bound,
             "archimedean_part": res.archimedean_part,
             "leading_coeff": res.leading_coeff}
 
@@ -164,11 +171,15 @@ def cmd_algheight(args):
     xi = AlgebraicNumber(parse_poly(args.poly))
     res = mahler_measure(xi.minpoly, args.tol)
     places = local_height_breakdown(xi, args.tol)
+    d = xi.degree
+    h = res.log_measure / d
+    # the division rounds: add its error, exactly, to error_bound / d
+    err = float_up(Fraction(res.error_bound) / d
+                   + abs(Fraction(h) - Fraction(res.log_measure) / d))
     return {"minpoly": [int(c) for c in xi.minpoly.coeffs],
-            "height": res.log_measure / xi.degree,
-            "mahler": res.measure,
+            "height": h, "mahler": res.measure,
             "places": {str(k): v for k, v in places.items()},
-            "error_bound": res.error_bound / xi.degree}
+            "error_bound": err}
 
 
 def cmd_rou(args):

@@ -36,14 +36,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from mpmath.libmp import from_float, mpf_add, mpf_sub, to_float
+from mpmath.libmp import from_float, mpf_add, mpf_sub
 from mpmath.libmp import round_ceiling as UP
 from mpmath.libmp import round_floor as DOWN
-from mpmath.libmp import round_nearest as NEAREST
 
 from .errors import (DegenerateMapError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import factorize, float_up, log_bounds, log_up
+from .numutil import factorize, float_up, log_bounds, log_up, reported
 from .polyforms import (BinaryForm, kept_on_instance,
                         nullstellensatz_cofactors, resultant)
 from .projective import (ProjPointQ, _hmax_from_log_bound, count_points,
@@ -359,17 +358,9 @@ def _renormalized_orbit(f: RationalMap, a, b, K, P):
     return n, _max_abs(u, v)
 
 
-def _reported(lo, hi, prec):
-    """(v, e): v the float (lo + hi)/2 rounds to and e the least float >=
-    max(hi - v, v - lo), so that the libmp interval [lo, hi] lies in v +- e."""
-    v = to_float(mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2
-    return v, max(to_float(mpf_sub(hi, from_float(v), prec, UP), rnd=UP),
-                  to_float(mpf_sub(from_float(v), lo, prec, UP), rnd=UP))
-
-
 def _orbit_log_enclosure(f: RationalMap, a, b, K, tol, terms=(), tail=0.0,
                          D=1):
-    """(value, error <= tol) from `_reported` for the interval
+    """(value, error <= tol) from `reported` for the interval
 
         (n log 2 + sum n_q log q + log max(|u_K|, |v_K|) + [-tail, tail]) / D
 
@@ -389,7 +380,7 @@ def _orbit_log_enclosure(f: RationalMap, a, b, K, tol, terms=(), tail=0.0,
             P *= 2
             continue
         prec = P + 20
-        value, err = _reported(*log_bounds(((n, 2), *terms), prec, m, P, tail,
+        value, err = reported(*log_bounds(((n, 2), *terms), prec, m, P, tail,
                                            D), prec)
         if err <= tol:
             return value, err
@@ -538,7 +529,7 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
     val = from_float(arch_val)
     err = from_float(float_up(sum((Fraction(t) for _, t in finite.values()),
                                   Fraction(arch_err))))
-    total, total_error = _reported(
+    total, total_error = reported(
         mpf_sub(mpf_add(lo, val, prec, DOWN), err, prec, DOWN),
         mpf_add(mpf_add(hi, val, prec, UP), err, prec, UP), prec)
     if total_error > tol:

@@ -6,7 +6,8 @@ renormalized iteration with an explicit tail bound from the two-sided
 compacity inequality.  One recurrence, `EscapeRateField._lambda`, does it:
 on Python complex numbers with math.log for one point (`escape`,
 membership, the pairing), where numpy's per-call cost would dominate, and
-on numpy arrays for many.  The pairing
+on numpy arrays for many.  A map with a coefficient beyond the float range
+is refused when its field is built.  The pairing
 
     G(P1, P2) = -log|x1 y2 - x2 y1| + Lambda(P1) + Lambda(P2)
                 - log|Res(U, V)| / (d (d-1))
@@ -83,6 +84,16 @@ class EscapeRateField:
     tol: float = 1e-9
 
     def __post_init__(self):
+        for name, form in (("U", self.map.U), ("V", self.map.V)):
+            for i, c in enumerate(form.coeffs):
+                try:
+                    float(c)
+                except OverflowError:
+                    raise InvalidInputError(
+                        f"coefficient {name}[{i}] of the map, a "
+                        f"{abs(c).bit_length()}-bit integer, does not fit a "
+                        "float; the escape-rate field evaluates the map in "
+                        "floats") from None
         self.degree = self.map.degree
         self.tail_constant = self.map.compacity_tail_constant()
         self._exact_power = self.map.is_unit_power_pair()

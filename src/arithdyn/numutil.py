@@ -18,6 +18,7 @@ from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
                           mpf_div, mpf_log, mpf_mul, mpf_sub, to_float)
 from mpmath.libmp import round_ceiling as UP
 from mpmath.libmp import round_floor as DOWN
+from mpmath.libmp import round_nearest as NEAREST
 
 from .errors import ResourceLimitError
 from .polyforms import MP_PRECISION_LOCK
@@ -165,3 +166,16 @@ def log_up(q):
                              64, UP)
     _, hi = log_bounds((), 64, (man, man), -exp)
     return to_float(hi, rnd=UP)
+
+
+def error_around(v, lo, hi, prec):
+    """The least float >= max(hi - v, v - lo): the libmp interval [lo, hi]
+    lies in the float v +- it."""
+    return max(to_float(mpf_sub(hi, from_float(v), prec, UP), rnd=UP),
+               to_float(mpf_sub(from_float(v), lo, prec, UP), rnd=UP))
+
+
+def reported(lo, hi, prec):
+    """(v, e): v the float (lo + hi)/2 rounds to and e = error_around(v)."""
+    v = to_float(mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2
+    return v, error_around(v, lo, hi, prec)

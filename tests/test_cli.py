@@ -86,11 +86,41 @@ class TestSpecExamples:
         assert code == 0
         assert data["measure"] == pytest.approx(1.1762808182599176, abs=1e-10)
 
+    @pytest.mark.parametrize("b", [10 ** 17, 1000001])
+    def test_mahler_bounds_hold_at_50_digits(self, b, capsys):
+        # X^2 - b X + 1 has M = its larger root; for b = 10^17 log M lies
+        # 1.03e-15 below the float reported, for b = 1000001 M lies 8.6e-12
+        # from the float reported
+        code, data = run_cli(["mahler", "--poly", f"1,{-b},1"], capsys)
+        assert code == 0
+        with mpmath.workdps(50):
+            M = (b + mpmath.sqrt(mpmath.mpf(b) ** 2 - 4)) / 2
+            assert abs(data["measure"] - M) <= data["measure_error"]
+            assert abs(data["log_measure"] - mpmath.log(M)) \
+                <= data["error_bound"]
+
+    def test_algheight_bound_covers_the_division(self, capsys):
+        # height = log M / 3 rounds once more than log M does
+        code, data = run_cli(["algheight", "--poly=-2,0,0,1"], capsys)
+        with mpmath.workdps(50):
+            gap = abs(data["height"] - mpmath.log(2) / 3)
+        assert code == 0 and gap <= data["error_bound"]
+
 
 class TestSubcommands:
     def test_height(self, capsys):
         code, data = run_cli(["height", "--point", "3:5:-7"], capsys)
         assert code == 0 and data["h"] == pytest.approx(math.log(7))
+
+    @pytest.mark.parametrize("point", ["3:5:-7", "1/1", "10^40"])
+    def test_height_bound_holds_at_50_digits(self, point, capsys):
+        # h stays math.log(H), a rounded float; the bound covers the rounding
+        point = point.replace("10^40", str(10 ** 40))
+        code, data = run_cli(["height", "--point", point], capsys)
+        assert code == 0 and data["h"] == math.log(data["H"])
+        with mpmath.workdps(50):
+            gap = abs(mpmath.mpf(data["h"]) - mpmath.log(data["H"]))
+        assert gap <= data["error_bound"] <= gap + 2.0 ** -60 * data["h"]
 
     def test_height_inf(self, capsys):
         code, data = run_cli(["height", "--point", "inf"], capsys)
@@ -280,16 +310,18 @@ def test_import_loads_no_scipy():
     assert proc.stdout.splitlines() == ["[]", "True"]
 
 
-# README examples that use only exact integers and libmp
+# README examples that load no numpy
 NUMPY_FREE = {"canheight", "preperiodic", "height", "enumerate", "schanuel",
-              "goodred", "tdiam", "bilu", "torus"}
+              "goodred", "tdiam", "bilu", "torus", "mahler", "algheight",
+              "rou", "annulus"}
 
 
 def test_numpy_free_commands_load_no_numpy(tmp_path, capsys, monkeypatch):
     # numpy takes about 0.1 s of every CLI process that imports it; the
-    # commands above (tdiam on a power map) never touch a float array
+    # commands above (tdiam on a power map) never touch a float array, and
+    # certified roots start from a float pass in Python complex numbers
     examples = [a for a in README_EXAMPLES if a[0] in NUMPY_FREE]
-    assert {a[0] for a in examples} == NUMPY_FREE and len(examples) == 11
+    assert {a[0] for a in examples} == NUMPY_FREE and len(examples) == 15
     julia = next(a for a in README_EXAMPLES if a[0] == "julia-sample")
     code = ("import contextlib, io, json, sys\n"
             "import arithdyn\n"
@@ -457,6 +489,18 @@ class TestRejections:
         code, data = self.rejected(["energy", "--map", POWER2, "--cloud",
                                     str(cloud)], capsys)
         assert code == 1 and data["error"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize("argv", [
+        ["julia-sample", "--nx", "2", "--ny", "2"],
+        ["baker", "--roots-of-unity", "4"],
+        ["tdiam", "--n", "3"],
+    ], ids=["julia-sample", "baker", "tdiam"])
+    def test_map_coefficient_beyond_float(self, argv, capsys):
+        # the float layer cannot evaluate 10^320; its field refuses the map
+        big = json.dumps({"d": 2, "U": [1, 0, 10 ** 320], "V": [0, 0, 1]})
+        code, data = self.rejected([*argv, "--map", big], capsys)
+        assert code == 1 and data["error"] == "InvalidInputError"
+        assert "U[2]" in data["message"]
 
     def test_schanuel_k_zero(self, capsys):
         # zeta(1) is a pole; the message names the option

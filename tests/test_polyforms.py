@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from arithdyn.errors import InvalidInputError, RepeatedRootError
 from arithdyn.polyforms import (BinaryForm, IntPoly, PadicValuation,
-                                _bareiss, _form_add, _form_mul, complex_roots,
+                                _bareiss, _float_start, _float_up, _form_add,
+                                _form_mul, certified_roots_mp, complex_roots,
                                 cyclotomic, discriminant, euler_phi,
                                 nullstellensatz_cofactors, resultant,
                                 resultant_univariate, vp)
@@ -339,6 +340,17 @@ class TestComplexRoots:
                 with mpm.workdps(60):
                     assert abs(mpm.mpc(rt.value) - z) + r <= rt.radius
 
+    def test_disks_hold_roots_below_the_float_range(self):
+        # 10^400 X^2 - 1 has roots +-1e-200; its monic constant term
+        # underflows to 0 in floats, so the float pass heads for the double
+        # root 0 of X^2 and the mp pass has to separate the two
+        P = IntPoly((-1, 0, 10 ** 400))
+        zz, radii = P.certified_roots(1e-12)
+        with mpm.workdps(260):
+            for z, r in zip(zz, radii):
+                assert min(abs(z - w) for w in (mpm.mpf(10) ** -200,
+                                                -mpm.mpf(10) ** -200)) <= r
+
     def test_non_squarefree_rejected(self):
         with pytest.raises(RepeatedRootError):
             complex_roots(IntPoly((1, -2, 1)))
@@ -364,3 +376,90 @@ class TestIntPoly:
     def test_reversed_same_mahler_height(self):
         p = IntPoly((3, 1, -2))
         assert p.reversed().coeffs == (-2, 1, 3)
+
+
+def _product(roots):
+    P = IntPoly((1,))
+    for r in roots:
+        P = P * IntPoly((-r, 1))
+    return P
+
+
+def _monic(P):
+    return [Fraction(c, P.lead) for c in P.coeffs]
+
+
+ROOT_START_CASES = {
+    # the coefficient ratio 10^320 overflows a float: the mp pass starts
+    # from the Cauchy circle; the roots are about -1e-320 and +-1e160
+    "coefficient_10^320": IntPoly((-1, -10 ** 320, 0, 1)),
+    "wilkinson_20": _product(range(1, 21)),
+    # roots 1 and 1 + 10^-10
+    "close_pair": IntPoly((10 ** 10 + 1, -(2 * 10 ** 10 + 1), 10 ** 10)),
+    "phi_105": cyclotomic(105),
+}
+
+
+class TestRootStart:
+    """Certified roots from the float pass, or from the Cauchy circle when
+    it has no start to give."""
+
+    @pytest.mark.parametrize("name", ROOT_START_CASES)
+    def test_disks_are_disjoint_and_each_holds_one_root(self, name):
+        P = ROOT_START_CASES[name]
+        d = P.degree
+        zz, radii = certified_roots_mp([Fraction(c) for c in P.coeffs], 1e-12)
+        assert len(zz) == d and max(radii) < 1e-12
+        assert all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
+                   for i in range(d) for j in range(i + 1, d))
+        # 60 digits below the largest modulus, as the disks are absolute
+        digits = 60 + max(0, int(mpm.log10(max(abs(z) for z in zz))))
+        with mpm.workdps(digits):
+            ref = mpm.polyroots(list(reversed(P.coeffs)), maxsteps=2000,
+                                extraprec=digits)
+            nearest = [min(range(d), key=lambda k: abs(ref[k] - z))
+                       for z in zz]
+            assert sorted(nearest) == list(range(d))
+            assert all(abs(ref[k] - z) <= r
+                       for k, z, r in zip(nearest, zz, radii))
+
+    def test_radius_rounds_up_below_the_normal_range(self):
+        # libmp rounds a subnormal to nearest whatever the direction asked
+        x = mpm.mpf(5e-324) * 1.25
+        assert _float_up(x) == 1e-323 and _float_up(mpm.mpf(0.5)) == 0.5
+
+    def test_float_pass_hands_over_on_overflow(self):
+        assert _float_start(_monic(ROOT_START_CASES["coefficient_10^320"])) \
+            is None
+        with pytest.raises(OverflowError):   # what the float pass meets
+            float(Fraction(10 ** 320))
+
+    def test_float_pass_lands_within_ulps(self):
+        P = ROOT_START_CASES["phi_105"]
+        start = _float_start(_monic(P))
+        zz, _ = P.certified_roots(1e-12)
+        assert len(start) == 48
+        assert all(min(abs(w - z) for z in zz) < 1e-14 for w in start)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda zz: [zz[0]] * len(zz),                 # coincident
+        lambda zz: [complex(math.nan, 0)] + zz[1:],   # non-finite
+    ], ids=["coincident", "non-finite"])
+    def test_float_pass_hands_over_spoilt_iterates(self, spoil, monkeypatch):
+        # such float iterates would divide by zero in the mp pass; it starts
+        # from the Cauchy circle instead
+        import arithdyn.polyforms as pf
+        aberth = pf._aberth
+
+        def spoilt(cs, zz, eps, stall):
+            values = aberth(cs, zz, eps, stall)
+            if isinstance(zz[0], complex):
+                zz[:] = spoil(zz)
+            return values
+
+        monkeypatch.setattr(pf, "_aberth", spoilt)
+        P = IntPoly((-2, 0, 1))
+        assert _float_start(_monic(P)) is None
+        zz, radii = certified_roots_mp([Fraction(c) for c in P.coeffs], 1e-12)
+        assert sorted(float(z.real) for z in zz) == pytest.approx(
+            [-math.sqrt(2), math.sqrt(2)], abs=1e-15)

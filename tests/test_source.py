@@ -138,3 +138,18 @@ def test_dynamics_leaves_mpmath_precision_alone():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not attrs & {"iv", "mp", "workdps", "workprec", "MP_PRECISION_LOCK"}
     assert not names & {"mpm", "mpmath", "MP_PRECISION_LOCK"}
+
+
+def test_certified_root_path_loads_no_numpy():
+    # the float pass runs on Python complex numbers, and Mahler measures
+    # close their sums with libmp, so neither module imports numpy or sets
+    # mpmath's precision outside the root finder
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES if p.name in ("polyforms.py", "algebraic.py")}
+    for tree in trees.values():
+        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                    for a in n.names]
+        imported += [n.module for n in ast.walk(tree)
+                     if isinstance(n, ast.ImportFrom) and n.module]
+        assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    assert _precision_changes(trees["algebraic.py"]) == ([], [])
