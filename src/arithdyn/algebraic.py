@@ -6,7 +6,8 @@ root-product formula on certified roots.  Finite-place contributions are
 exact valuations of the leading coefficient, so the place decomposition sums
 to the height up to the certified archimedean error alone.
 
-Irreducibility is NOT verified (there is deliberately no factorization
+The root-of-unity test is exact: integer remainders of X^m modulo the
+minpoly, no roots (Kronecker).  Irreducibility is NOT verified (there is deliberately no factorization
 engine here).  All formulas are evaluated on the full root multiset of the
 given polynomial, which equals the intended quantity exactly when the input
 is irreducible; shipped inputs are known irreducibles.
@@ -25,8 +26,8 @@ from mpmath.libmp import round_ceiling as UP
 from mpmath.libmp import round_floor as DOWN
 
 from .errors import InvalidInputError, RepeatedRootError
-from .numutil import factorize, reported
-from .polyforms import MP_PRECISION_LOCK, IntPoly, cyclotomic, euler_phi
+from .numutil import MP_PRECISION_LOCK, factorize, reported
+from .polyforms import IntPoly, complex_roots, cyclotomic, euler_phi
 
 DEFAULT_TOL = 1e-12
 
@@ -60,7 +61,6 @@ class AlgebraicNumber:
 
     def conjugates(self, tol=DEFAULT_TOL):
         """Certified complex roots of the minimal polynomial."""
-        from .polyforms import complex_roots
         return complex_roots(self.minpoly, tol)
 
 
@@ -159,26 +159,26 @@ class RootOfUnityVerdict:
     reason: str
 
 
-def is_root_of_unity(xi: AlgebraicNumber, tol=DEFAULT_TOL):
-    """Decide whether xi is a root of unity; returns the order as witness.
+def is_root_of_unity(xi: AlgebraicNumber):
+    """Decide exactly whether xi is a root of unity; returns the order.
 
-    Procedure: reject non algebraic integers, then certified root moduli
-    must all be 1, then exact division of X^m - 1 by the minpoly for the
-    finitely many m with phi(m) = deg(xi).
+    A root of unity of order m is an algebraic integer of degree phi(m), so
+    xi is one iff X^m = 1 modulo its monic minpoly for an m with phi(m) =
+    deg(xi).  One pass of integer remainders X^k mod P serves every such m;
+    no root is computed.
     """
     if not xi.is_algebraic_integer():
         return RootOfUnityVerdict(False, None, "not an algebraic integer")
-    roots = xi.conjugates(min(tol, 1e-10))
-    for rt in roots:
-        if abs(abs(rt.value) - 1) > rt.radius + 1e-12:
-            return RootOfUnityVerdict(False, None,
-                                      "a conjugate has modulus != 1")
     d = xi.degree
-    p = xi.minpoly if xi.minpoly.lead > 0 else -xi.minpoly
+    low = xi.minpoly.coeffs[:-1]   # P = X^d + sum low[i] X^i (primitive: lead 1)
+    one = [1] + [0] * (d - 1)
+    rem, k = one, 0                # rem = X^k mod P, low degree first
     for m in _phi_inverse(d):
-        xm1 = IntPoly((-1,) + (0,) * (m - 1) + (1,))
-        _, rem = xm1.divmod(p)
-        if rem.is_zero():
+        while k < m:               # X rem, with X^d replaced by -low
+            top = rem[-1]
+            rem = [r - top * c for r, c in zip([0] + rem[:-1], low)]
+            k += 1
+        if rem == one:
             return RootOfUnityVerdict(True, m, f"minpoly divides X^{m} - 1")
     return RootOfUnityVerdict(False, None,
                               "no m with phi(m) = d gives divisibility")

@@ -131,12 +131,15 @@ def _dumps(payload):
 HEIGHT_PREC = 80   # bits of the libmp enclosure of log H
 
 
+def _log_error(H, h):
+    """The least float >= |h - log H| for a float h."""
+    return error_around(h, *log_bounds(((1, H),), HEIGHT_PREC), HEIGHT_PREC)
+
+
 def cmd_height(args):
     x = parse_point(args.point)
     H, h = x.H(), x.height()
-    # h is math.log(H) rounded to a float; bound its distance to log H
-    err = error_around(h, *log_bounds(((1, H),), HEIGHT_PREC), HEIGHT_PREC)
-    return {"point": str(x), "H": H, "h": h, "error_bound": err}
+    return {"point": str(x), "H": H, "h": h, "error_bound": _log_error(H, h)}
 
 
 def cmd_enumerate(args):
@@ -148,8 +151,15 @@ def cmd_enumerate(args):
             w = csv.writer(fh)
             w.writerow([*(f"x{i}" for i in range(args.k + 1)), "H", "h"])
             w.writerows(rows)
+    # the h column is math.log(H) written to 17 digits: bound the distance
+    # of that decimal to log H, over the distinct H listed
+    err = 0.0
+    for H in {p.H() for p in pts}:
+        h = math.log(H)
+        written = abs(Fraction(f"{h:.17g}") - Fraction(h))
+        err = max(err, float_up(Fraction(_log_error(H, h)) + written))
     return {"k": args.k, "B": args.B, "count": len(pts),
-            "csv": args.out, "error_bound": 0.0}
+            "csv": args.out, "error_bound": err}
 
 
 def cmd_schanuel(args):
@@ -562,7 +572,7 @@ def main(argv=None):
     try:
         payload = args.func(args)
         text = _dumps(payload)
-    except (InvalidInputError, ValueError, ZeroDivisionError, OSError,
+    except (InvalidInputError, ValueError, ArithmeticError, OSError,
             RuntimeError) as exc:
         print(_dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 from mpmath.libmp import from_float, mpf_add, mpf_sub
 from mpmath.libmp import round_ceiling as UP
@@ -42,11 +41,11 @@ from mpmath.libmp import round_floor as DOWN
 
 from .errors import (DegenerateMapError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import factorize, float_up, log_bounds, log_up, reported
-from .polyforms import (BinaryForm, kept_on_instance,
-                        nullstellensatz_cofactors, resultant)
-from .projective import (ProjPointQ, _hmax_from_log_bound, count_points,
-                         enumerate_points)
+from .numutil import (factorize, float_up, horner, kept_on_instance,
+                      log_bounds, log_up, reported)
+from .polyforms import BinaryForm, resultant
+from .projective import (ProjPointQ, _hmax_from_log_bound, binary_constants,
+                         count_points, enumerate_points, unit_power_pair)
 
 EXACT_PHASE_BITS = 4096          # switch from exact ints to intervals
 DIGIT_BUDGET = 10 ** 6           # decimal digits per coordinate, hard stop
@@ -110,39 +109,20 @@ class RationalMap:
 
     def is_unit_power_pair(self):
         """True for [±X^d : ±Y^d] and the coordinate-swapped variant."""
-
-        def unit_monomial_index(form):
-            nz = [(i, c) for i, c in enumerate(form.coeffs) if c != 0]
-            if len(nz) == 1 and abs(nz[0][1]) == 1 and nz[0][0] in (0, form.degree):
-                return nz[0][0]
-            return None
-
-        iu, iv = unit_monomial_index(self.U), unit_monomial_index(self.V)
-        return iu is not None and iv is not None and {iu, iv} == {0, self.degree}
+        return unit_power_pair(self.U, self.V)
 
     @kept_on_instance
+    def _binary_constants(self):
+        return binary_constants(self.U, self.V)
+
     def max_cofactor_coeff(self):
-        """Largest |coefficient| of the Nullstellensatz cofactors, the only
-        part of them the constants use (so the forms are not kept)."""
-        ax, bx, ay, by, _ = nullstellensatz_cofactors(self.U, self.V)
-        return max(max(abs(c) for c in g.coeffs) for g in (ax, bx, ay, by))
+        """Largest |coefficient| of the Nullstellensatz cofactors."""
+        return self._binary_constants()[2]
 
-    @kept_on_instance
     def functoriality_constants(self):
-        """(c_upper, c_lower) for d h(x) - c_lower <= h(f x) <= d h(x) + c_upper.
-
-        Unit power pairs are exact (both constants zero).  Otherwise c_upper
-        is the coefficient-sum bound and c_lower = log(2 d max|cofactor|):
-        the cofactor identity gives |Res| max^(2d-1) <= 2d max|cof| max^(d-1)
-        max(|U|,|V|), and the gcd of (U, V) at a coprime point divides Res,
-        which re-absorbs the log|Res| term.  Both are rounded up.
-        """
-        if self.is_unit_power_pair():
-            return 0.0, 0.0
-        c_up = log_up(max(sum(abs(c) for c in self.U.coeffs),
-                          sum(abs(c) for c in self.V.coeffs)))
-        c_lo = log_up(2 * self.degree * self.max_cofactor_coeff())
-        return c_up, c_lo
+        """(c_upper, c_lower) for d h(x) - c_lower <= h(f x) <= d h(x) + c_upper,
+        from `projective.binary_constants`; zero for unit power pairs."""
+        return self._binary_constants()[:2]
 
     @kept_on_instance
     def compacity_tail_constant(self):
@@ -245,11 +225,7 @@ def padic_gcd_valuations(f: RationalMap, x: ProjPointQ, p, K):
     whole ledger costs O(K v_p(Res)) digits instead of the d^K digits of the
     exact orbit.
     """
-    R = 0
-    r = abs(f.res)
-    while r % p == 0:
-        r //= p
-        R += 1
+    R = dict(f.res_factors).get(p, 0)
     if R == 0:
         return [0] * K
     m = (R + 1) * (K + 2) + 4
@@ -388,11 +364,6 @@ def _orbit_log_enclosure(f: RationalMap, a, b, K, tol, terms=(), tail=0.0,
     return None
 
 
-def _horner(vals, d):
-    """sum_k vals[k-1] d^(K-k) for K = len(vals)."""
-    return reduce(lambda n, v: n * d + v, vals, 0)
-
-
 def escape_rate_exact_pair(f: RationalMap, a, b, tol):
     """(value, error) enclosure of Lambda(a, b) for integer a, b, error <= tol.
 
@@ -459,8 +430,9 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8):
     # - log g_k, and every gcd g_k is a product of bad primes
     a, b = end.coords
     remaining = n_star - k
-    gcd_logs = [(-_horner(padic_gcd_valuations(f, end, p, remaining), d), p)
-                for p in f.bad_primes]
+    # sum_k v_p(g_k) d^(K-k) for the valuations v_p(g_1), ..., v_p(g_K)
+    gcd_logs = [(-horner(padic_gcd_valuations(f, end, p, remaining)[::-1], d),
+                 p) for p in f.bad_primes]
     found = _orbit_log_enclosure(f, a, b, remaining, tol, gcd_logs,
                                  D=d ** n_star)
     if found is not None:
@@ -516,7 +488,8 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
         K = 1
         while R * math.log(p) / (d ** K * (d - 1)) > fin_budget and K < 400:
             K += 1
-        coeff = -Fraction(_horner(padic_gcd_valuations(f, x, p, K), d), d ** K)
+        coeff = -Fraction(horner(padic_gcd_valuations(f, x, p, K)[::-1], d),
+                          d ** K)
         tail = float_up(R * Fraction(log_up(p)) / (d ** K * (d - 1)))
         finite[p] = (coeff, tail)
 

@@ -1,4 +1,5 @@
-"""Small integer-arithmetic helpers: factorization, primality, floats
+"""The bottom layer, importing no arithdyn module but `errors`: the mpmath
+lock, the per-instance memo, Horner's rule, factorization, primality, floats
 rounded upward and directed bounds on integer combinations of logarithms.
 
 Miller-Rabin on the first 13 prime bases, deterministic below
@@ -12,7 +13,9 @@ at or above psi_13, since nothing proves it prime.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
+from functools import wraps
 
 from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
                           mpf_div, mpf_log, mpf_mul, mpf_sub, to_float)
@@ -21,7 +24,37 @@ from mpmath.libmp import round_floor as DOWN
 from mpmath.libmp import round_nearest as NEAREST
 
 from .errors import ResourceLimitError
-from .polyforms import MP_PRECISION_LOCK
+
+# mpmath keeps its working precision in process-global contexts; every block
+# of arithdyn that sets it holds this lock, so concurrent callers neither see
+# each other's precision nor leave a changed one behind.
+MP_PRECISION_LOCK = threading.RLock()
+
+
+def kept_on_instance(method):
+    """Make a no-argument method of an immutable value compute its result
+    once and keep it in the instance dict (not a dataclass field).  Two
+    threads may both compute it; either stores the same value."""
+    name = f"_kept_{method.__name__}"
+
+    @wraps(method)
+    def kept(self):
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = method(self)
+            object.__setattr__(self, name, value)
+            return value
+    return kept
+
+
+def horner(cs, x):
+    """sum cs[k] x^k (low degree first) in the arithmetic of x and the cs."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
 
 RHO_BUDGET = 1 << 20    # polynomial steps per factorization, about 1 s
 RHO_BATCH = 128         # differences multiplied together per gcd

@@ -12,44 +12,24 @@ the float pass's iterates (from the Cauchy circle when a coefficient does
 not fit a float or the float iterates end non-finite or coincident).  The
 mp pass doubles precision until a posteriori Weierstrass inclusion disks,
 widened by a bound on the rounding of p(z), are pairwise disjoint and
-smaller than the requested tolerance.  No numpy.
+smaller than the requested tolerance.  No numpy.  The mpmath lock, the
+per-instance memo, Horner's rule and the upward rounding come from
+`numutil`, the layer below.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import mpmath as mpm
-from mpmath.libmp import mpf_abs, mpf_add, mpf_mul, round_ceiling, to_float
+from mpmath.libmp import mpf_abs, mpf_add, mpf_mul
 
 from .errors import DegenerateMapError, InvalidInputError, RepeatedRootError
-
-# mpmath keeps its working precision in process-global contexts; every block
-# of arithdyn that sets it holds this lock, so concurrent callers neither see
-# each other's precision nor leave a changed one behind.
-MP_PRECISION_LOCK = threading.RLock()
-
-
-def kept_on_instance(method):
-    """Make a no-argument method of an immutable value compute its result
-    once and keep it in the instance dict (not a dataclass field).  Two
-    threads may both compute it; either stores the same value."""
-    name = f"_kept_{method.__name__}"
-
-    @wraps(method)
-    def kept(self):
-        try:
-            return self.__dict__[name]
-        except KeyError:
-            value = method(self)
-            object.__setattr__(self, name, value)
-            return value
-    return kept
+from .numutil import MP_PRECISION_LOCK, float_up, horner, kept_on_instance
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +76,11 @@ class IntPoly:
         return self.coeffs[-1]
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly([self[k] + other[k] for k in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[k] - other[k] for k in range(n)])
-
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -611,13 +581,6 @@ def _mpc_poly(coeffs):
     return [mpm.mpf(c.numerator) / mpm.mpf(c.denominator) for c in coeffs]
 
 
-def _horner(cs, x):
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 MODULUS_BITS = 64   # fixed-point scale 2^P of _modulus_sum_up
 
 
@@ -640,13 +603,6 @@ def _modulus_sum_up(moduli, z):
     for m in reversed(moduli):
         acc = -(-acc * r >> P) + m
     return mpm.ldexp(acc, -P)
-
-
-def _float_up(x):
-    """The least float >= the mpf x >= 0 (libmp may round a subnormal
-    down)."""
-    f = to_float(x._mpf_, rnd=round_ceiling)
-    return f if mpm.mpf(f) >= x else math.nextafter(f, math.inf)
 
 
 def certified_roots_mp(coeffs, tol):
@@ -693,14 +649,15 @@ def certified_roots_mp(coeffs, tol):
                     radii = None
                     break
                 value = values[i] if values[i] is not None \
-                    else _horner(cs, zz[i])
+                    else horner(cs, zz[i])
                 num = abs(value) + gamma * _modulus_sum_up(moduli, zz[i])
                 radii.append(num / abs(den) * grow)
             if radii is not None:
                 disjoint = all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
                                for i in range(d) for j in range(i + 1, d))
                 if disjoint and max(radii, default=mpm.mpf(0)) < tol:
-                    return zz, [_float_up(r) for r in radii]
+                    return zz, [float_up(Fraction(r.man) * Fraction(2) ** r.exp)
+                                for r in radii]
         dps *= 2
     raise RepeatedRootError(
         "root certification failed; inputs may be non-squarefree or "

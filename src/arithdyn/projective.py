@@ -16,9 +16,8 @@ import mpmath as mpm
 
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import log_up
-from .polyforms import (MP_PRECISION_LOCK, BinaryForm,
-                        nullstellensatz_cofactors)
+from .numutil import MP_PRECISION_LOCK, log_up
+from .polyforms import BinaryForm, nullstellensatz_cofactors
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
 COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entries
@@ -327,39 +326,58 @@ def apply_morphism(f: HomMorphism, x: ProjPointQ):
     return ProjPointQ(vals)
 
 
+def unit_power_pair(U, V):
+    """True for the binary forms [±X^d : ±Y^d] and [±Y^d : ±X^d], d >= 1."""
+    x_d = (1,) + (0,) * U.degree
+    ends = {tuple(map(abs, F.coeffs)) for F in (U, V)}
+    return U.degree == V.degree >= 1 and ends == {x_d, x_d[::-1]}
+
+
+def binary_constants(U, V):
+    """(c_upper, c_lower, max|cofactor coefficient|) of [U : V] on P^1, for
+    d h(x) - c_lower <= h(f(x)) <= d h(x) + c_upper, both rounded up.
+
+    c_upper = log max(sum |U_i|, sum |V_i|) (triangle inequality).  The
+    cofactor identity A U + B V = Res X^(2d-1) (and Y^(2d-1)) gives |Res|
+    max^(2d-1) <= 2d max|cof| max^(d-1) max(|U|, |V|), and the gcd of (U, V)
+    at a coprime point divides Res, which re-absorbs log|Res|: c_lower =
+    log(2d max|cof|).  Unit power pairs map coprime points to coprime
+    points with max^d, so (0, 0, 1) without a solve (their cofactors are
+    ±X^(d-1), ±Y^(d-1) and 0).  DegenerateMapError when Res(U, V) = 0.
+    """
+    if unit_power_pair(U, V):
+        return 0.0, 0.0, 1
+    ax, bx, ay, by, _ = nullstellensatz_cofactors(U, V)
+    max_cofactor = max(max(abs(c) for c in g.coeffs) for g in (ax, bx, ay, by))
+    c_upper = log_up(max(sum(abs(c) for c in U.coeffs),
+                         sum(abs(c) for c in V.coeffs)))
+    return c_upper, log_up(2 * U.degree * max_cofactor), max_cofactor
+
+
 def functoriality_constants(f: HomMorphism):
     """(c_upper, c_lower) with d h(x) - c_lower <= h(f(x)) <= d h(x) + c_upper.
 
-    c_upper = log max_i sum |coefficients of f_i| (triangle inequality).
-    c_lower is exact for permuted-coordinate unit power maps (zero) and, on
-    P^1, derived from integer Nullstellensatz cofactors; for k >= 2 it is
-    None (reported unavailable rather than estimated).  Logs are rounded up.
+    c_upper = log max_i sum |coefficients of f_i| (triangle inequality),
+    rounded up.  On P^1 both come from `binary_constants` (c_lower is None
+    when the forms share a root).  For k >= 2, c_lower is exact (zero) for
+    permuted-coordinate unit power maps and None otherwise (reported
+    unavailable rather than estimated).
     """
     c_upper = log_up(max(form.abs_coeff_sum() for form in f.forms))
+    if f.source_dim == 1 and f.target_dim == 1:
+        try:
+            return binary_constants(*map(_homform_to_binary, f.forms))[:2]
+        except DegenerateMapError:
+            return c_upper, None
     # unit monomial maps on any P^k: coordinates map to x_sigma(i)^d, the
     # image of a coprime tuple is coprime and the max is max^d, so c = 0.
     if all(form.is_unit_monomial() for form in f.forms) \
             and f.source_dim == f.target_dim:
         expos = [form.terms[0][0] for form in f.forms]
-        d = f.degree
         support = [tuple(i for i, e in enumerate(expo) if e) for expo in expos]
         if all(len(s) == 1 for s in support) \
                 and sorted(s[0] for s in support) == list(range(f.source_dim + 1)):
             return 0.0, 0.0
-    if f.source_dim == 1 and f.target_dim == 1:
-        U = _homform_to_binary(f.forms[0])
-        V = _homform_to_binary(f.forms[1])
-        try:
-            ax, bx, ay, by, _ = nullstellensatz_cofactors(U, V)
-        except DegenerateMapError:
-            return c_upper, None
-        maxcof = max(max(abs(c) for c in g.coeffs) for g in (ax, bx, ay, by))
-        d = f.degree
-        # |Res| x^(2d-1) = A U + B V and gcd(U,V)(a,b) divides Res, so the
-        # full height drop is bounded by log(2d max|cof|) after the gcd
-        # division re-absorbs log|Res|.
-        c_lower = log_up(2 * d * maxcof)
-        return c_upper, c_lower
     return c_upper, None
 
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, height_algebraic
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .green import EmpiricalMeasure
 from .polyforms import IntPoly, resultant_univariate
 
 EXACT_PRODUCT_DEGREE_CAP = 16
+CLOUD_POINT_CAP = 2 ** 20   # conjugate products in one pushforward cloud
 
 
 def coordinate_height(c):
@@ -128,11 +129,18 @@ def monomial_pushforward(x: TorusPoint, exponents):
     Rational coordinates give the exact product; algebraic ones give the
     complex cloud of conjugate products (all mixed conjugate choices) plus,
     when the combined degree is at most 16, an exact annihilating
-    polynomial whose squarefree part certifies the height.
+    polynomial whose squarefree part certifies the height.  The cloud has
+    the product of the degrees as its size; ResourceLimitError when that
+    exceeds CLOUD_POINT_CAP, before anything is computed.
     """
     a = tuple(int(e) for e in exponents)
     if len(a) != x.dim or all(e == 0 for e in a):
         raise InvalidInputError("exponent tuple must be nonzero, length k")
+    total_deg = math.prod(c.degree for c, e in zip(x.coords, a)
+                          if e and isinstance(c, AlgebraicNumber))
+    if total_deg > CLOUD_POINT_CAP:
+        raise ResourceLimitError(total_deg, f"a cloud of {total_deg} "
+                                 f"conjugate products exceeds {CLOUD_POINT_CAP}")
     bound = sum(abs(e) for e in a) * max(coordinate_height(c) for c in x.coords)
     if all(isinstance(c, Fraction) for c in x.coords):
         val = Fraction(1)
@@ -156,10 +164,6 @@ def monomial_pushforward(x: TorusPoint, exponents):
         prods = [p * v for p in prods for v in vals]
     cloud = EmpiricalMeasure(prods)
 
-    total_deg = 1
-    for c, e in zip(x.coords, a):
-        if e and isinstance(c, AlgebraicNumber):
-            total_deg *= c.degree
     if total_deg <= EXACT_PRODUCT_DEGREE_CAP:
         poly = _product_polynomial(x.coords, a).squarefree_part()
         xi = AlgebraicNumber(poly)

@@ -137,6 +137,21 @@ class TestRootOfUnity:
         assert not v.is_root_of_unity
         assert "algebraic integer" in v.reason
 
+    def test_every_cyclotomic_polynomial_to_120(self):
+        for n in range(1, 121):
+            v = is_root_of_unity(cyclotomic_number(n))
+            assert v.is_root_of_unity and v.order == n, n
+
+    @pytest.mark.parametrize("P", [LEHMER] + [
+        IntPoly((-1, -1) + (0,) * (d - 2) + (1,)) for d in range(2, 17)],
+        ids=["lehmer"] + [f"X^{d}-X-1" for d in range(2, 17)])
+    def test_unit_circle_neighbours_are_not(self, P):
+        # Lehmer's polynomial has eight of its ten roots on the unit circle,
+        # and X^d - X - 1 has most of its roots near it for large d
+        v = is_root_of_unity(AlgebraicNumber(P))
+        assert not v.is_root_of_unity and v.order is None
+        assert v.reason == "no m with phi(m) = d gives divisibility"
+
     def test_kronecker_exhaustive_sweep(self):
         """h = 0 iff root of unity or zero, degree <= 4, |coeffs| <= 3."""
         for d in range(1, 5):
@@ -147,7 +162,7 @@ class TestRootOfUnity:
                     continue
                 xi = AlgebraicNumber(p)
                 h = height_algebraic(xi, 1e-10)
-                verdict = is_root_of_unity(xi, 1e-10)
+                verdict = is_root_of_unity(xi)
                 zero_root = p.coeffs[0] == 0 and d == 1  # minpoly X
                 if verdict.is_root_of_unity or zero_root:
                     assert h <= 1e-8

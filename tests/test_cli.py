@@ -135,6 +135,20 @@ class TestSubcommands:
         assert rows[0] == "x0,x1,H,h"
         assert len(rows) == 9
 
+    def test_enumerate_bound_holds_at_50_digits(self, tmp_path, capsys):
+        # the h column holds 17-digit decimals of math.log(H); for H = 9 it
+        # reads 2.1972245773362196, not log 9
+        out = tmp_path / "pts.csv"
+        code, data = run_cli(["enumerate", "--k", "1", "--B", "2.3",
+                              "--out", str(out)], capsys)
+        assert code == 0 and data["error_bound"] > 0
+        with out.open(newline="") as fh, mpmath.workdps(50):
+            rows = list(csv.DictReader(fh))
+            gaps = [abs(mpmath.mpf(r["h"]) - mpmath.log(int(r["H"])))
+                    for r in rows]
+        assert len(rows) == data["count"] and "9" in {r["H"] for r in rows}
+        assert max(gaps) <= data["error_bound"] <= max(gaps) + 2.0 ** -50
+
     def test_schanuel(self, capsys):
         code, data = run_cli(["schanuel", "--k", "1", "--B", "100"], capsys)
         assert code == 0 and data["ratio"] == pytest.approx(1.0, abs=0.05)
@@ -161,6 +175,19 @@ class TestSubcommands:
         code, data = run_cli(["rou", "--poly", "1,0,-1,0,1"], capsys)
         assert code == 0
         assert data["is_root_of_unity"] is True and data["order"] == 12
+
+    @pytest.mark.parametrize("poly,order", [("1,0,-1,0,1", 12),
+                                            ("-1,-1,0,1", None)])
+    def test_rou_solves_no_roots(self, poly, order, capsys, monkeypatch):
+        from arithdyn import polyforms
+
+        def refuse(coeffs, tol):
+            raise AssertionError("rou solved for roots")
+
+        monkeypatch.setattr(polyforms, "certified_roots_mp", refuse)
+        code, data = run_cli(["rou", f"--poly={poly}"], capsys)
+        assert code == 0 and data["order"] == order
+        assert data["is_root_of_unity"] is (order is not None)
 
     def test_goodred(self, capsys):
         code, data = run_cli(
@@ -501,6 +528,22 @@ class TestRejections:
         code, data = self.rejected([*argv, "--map", big], capsys)
         assert code == 1 and data["error"] == "InvalidInputError"
         assert "U[2]" in data["message"]
+
+    def test_conjugate_beyond_float(self, capsys):
+        # a conjugate near 10^320 overflows the moment a complex power
+        poly = "poly:-1,-1" + "0" * 320 + ",0,1"
+        code, data = self.rejected(["bilu", "--family", poly], capsys)
+        assert code == 1 and data["error"] == "OverflowError"
+
+    def test_torus_cloud_beyond_cap_allocates_nothing(self, capsys):
+        # 16^6 = 2^24 conjugate products; 5 coordinates (2^20) took 167 MB
+        coord = {"minpoly": [-2] + [0] * 15 + [1]}
+        start = time.monotonic()
+        code, data = self.rejected(["torus", "push", "--coords",
+                                    json.dumps([coord] * 6),
+                                    "--exp", "1,1,1,1,1,1"], capsys)
+        assert time.monotonic() - start < 2
+        assert code == 1 and data["error"] == "ResourceLimitError"
 
     def test_schanuel_k_zero(self, capsys):
         # zeta(1) is a pole; the message names the option

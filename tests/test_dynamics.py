@@ -372,15 +372,15 @@ class TestCommuting:
 
 class TestConstantsKeptOnTheMap:
     def test_one_cofactor_solve_per_map(self, monkeypatch):
-        import arithdyn.dynamics as dyn
+        import arithdyn.projective as proj
         calls = []
-        solve = dyn.nullstellensatz_cofactors
+        solve = proj.nullstellensatz_cofactors
 
         def counting(U, V):
             calls.append((U, V))
             return solve(U, V)
 
-        monkeypatch.setattr(dyn, "nullstellensatz_cofactors", counting)
+        monkeypatch.setattr(proj, "nullstellensatz_cofactors", counting)
         f = make_map((1, 0, 1), (0, 0, 1))
         x = ProjPointQ((1, 2))
         for tol in (1e-6, 1e-12):

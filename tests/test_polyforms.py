@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithdyn.errors import InvalidInputError, RepeatedRootError
+from arithdyn.numutil import float_up
 from arithdyn.polyforms import (BinaryForm, IntPoly, PadicValuation,
-                                _bareiss, _float_start, _float_up, _form_add,
+                                _bareiss, _float_start, _form_add,
                                 _form_mul, certified_roots_mp, complex_roots,
                                 cyclotomic, discriminant, euler_phi,
                                 nullstellensatz_cofactors, resultant,
@@ -425,8 +426,12 @@ class TestRootStart:
 
     def test_radius_rounds_up_below_the_normal_range(self):
         # libmp rounds a subnormal to nearest whatever the direction asked
+        def exact(x):
+            return Fraction(x.man) * Fraction(2) ** x.exp
+
         x = mpm.mpf(5e-324) * 1.25
-        assert _float_up(x) == 1e-323 and _float_up(mpm.mpf(0.5)) == 0.5
+        assert float_up(exact(x)) == 1e-323
+        assert float_up(exact(mpm.mpf(0.5))) == 0.5
 
     def test_float_pass_hands_over_on_overflow(self):
         assert _float_start(_monic(ROOT_START_CASES["coefficient_10^320"])) \

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from arithdyn.errors import (IndeterminacyError, InvalidInputError,
                              ResourceLimitError)
+from arithdyn.polyforms import BinaryForm, nullstellensatz_cofactors
 from arithdyn.projective import (HomForm, HomMorphism, ProjPointQ,
-                                 apply_morphism, count_points,
-                                 enumerate_points, functoriality_constants,
-                                 height, linear_projection, schanuel_ratio,
-                                 segre, veronese)
+                                 apply_morphism, binary_constants,
+                                 count_points, enumerate_points,
+                                 functoriality_constants, height,
+                                 linear_projection, schanuel_ratio, segre,
+                                 unit_power_pair, veronese)
 
 
 def brute_force_points(k, Hmax):
@@ -241,6 +243,27 @@ class TestMorphisms:
         f = HomMorphism((F, G, H))
         c_up, c_lo = functoriality_constants(f)
         assert c_up >= 0 and c_lo is None
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_unit_power_pairs_skip_the_solve(self, d):
+        # [±X^d : ±Y^d] and [±Y^d : ±X^d]: (0, 0) and the max cofactor
+        # coefficient the solve would give
+        X, Y = (1,) + (0,) * d, (0,) * d + (1,)
+        for (a, b), s, t in product(((X, Y), (Y, X)), (1, -1), (1, -1)):
+            U = BinaryForm(d, [s * c for c in a])
+            V = BinaryForm(d, [t * c for c in b])
+            assert unit_power_pair(U, V)
+            cofactors = nullstellensatz_cofactors(U, V)[:4]
+            assert binary_constants(U, V) == (
+                0.0, 0.0, max(abs(c) for g in cofactors for c in g.coeffs))
+
+    @pytest.mark.parametrize("u,v", [((2, 0, 0), (0, 0, 1)),
+                                     ((1, 0, 0), (1, 0, 0)),
+                                     ((1, 0, 1), (0, 0, 1)),
+                                     ((1,), (1,))])
+    def test_not_unit_power_pairs(self, u, v):
+        d = len(u) - 1
+        assert not unit_power_pair(BinaryForm(d, u), BinaryForm(d, v))
 
     def test_functoriality_sandwich_sample(self):
         rng = random.Random(17)

@@ -1,7 +1,11 @@
 """Checks on the library source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import arithdyn
 
@@ -153,3 +157,57 @@ def test_certified_root_path_loads_no_numpy():
                      if isinstance(n, ast.ImportFrom) and n.module]
         assert not [m for m in imported if m.split(".")[0] == "numpy"]
     assert _precision_changes(trees["algebraic.py"]) == ([], [])
+
+
+def _definitions(tree):
+    """Names bound at module level by def, class or assignment."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_shared_helpers_have_one_definition():
+    # the lock, the memo, the upward rounding and Horner's rule live in
+    # numutil; a second copy drifts from the first
+    defined = {p.name: _definitions(ast.parse(p.read_text(), filename=str(p)))
+               for p in SOURCES}
+    for name in ("MP_PRECISION_LOCK", "kept_on_instance", "float_up",
+                 "horner"):
+        assert [m for m, names in defined.items() if name in names] \
+            == ["numutil.py"], name
+    assert not [m for m, names in defined.items()
+                if {"_float_up", "_horner"} & set(names)]
+
+
+def test_numutil_is_the_bottom_layer():
+    path = next(p for p in SOURCES if p.name == "numutil.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    local = [n.module for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) and n.level > 0]
+    absolute = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for a in n.names]
+    absolute += [n.module for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.level == 0]
+    assert local == ["errors"]
+    assert not [m for m in absolute if m.split(".")[0] == "arithdyn"]
+
+
+@pytest.mark.parametrize("name", [p.stem for p in SOURCES
+                                  if p.stem != "__init__"])
+def test_each_module_imports_alone(name):
+    # the package __init__ imports the modules in one fixed order, which can
+    # hide an import cycle; a bare package lets this module load first
+    package = Path(arithdyn.__file__).parent
+    code = ("import sys, types\n"
+            "pkg = types.ModuleType('arithdyn')\n"
+            f"pkg.__path__ = [{str(package)!r}]\n"
+            "pkg.__version__ = 'bare'   # cli reads it from the package\n"
+            "sys.modules['arithdyn'] = pkg\n"
+            f"import arithdyn.{name}\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
