@@ -20,14 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import (fone, from_float, from_int, mpf_add, mpf_gt,
-                          mpf_log, mpf_mul, mpf_sqrt, mpf_sub)
-from mpmath.libmp import round_ceiling as UP
-from mpmath.libmp import round_floor as DOWN
-
 from .errors import InvalidInputError, RepeatedRootError
-from .numutil import MP_PRECISION_LOCK, factorize, reported
-from .polyforms import IntPoly, complex_roots, cyclotomic, euler_phi
+from .numutil import MP_PRECISION_LOCK, factorize, is_prime, reported
+from .polyforms import IntPoly, complex_roots, cyclotomic
 
 DEFAULT_TOL = 1e-12
 
@@ -77,10 +72,6 @@ class MahlerResult:
 MAHLER_PREC = 128  # bits of the directed products and logs of mahler_measure
 
 
-def _at_least_one(x):
-    return x if mpf_gt(x, fone) else fone
-
-
 def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
     """M(P) = |a_0| prod max(1, |xi_i|) with certified error bounds.
 
@@ -100,6 +91,14 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
         raise RepeatedRootError(
             "non-squarefree input; take squarefree_part() first so root "
             "multiplicities are explicit")
+    from mpmath.libmp import (fone, from_float, from_int, mpf_add, mpf_gt,
+                              mpf_log, mpf_mul, mpf_sqrt, mpf_sub)
+    from mpmath.libmp import round_ceiling as UP
+    from mpmath.libmp import round_floor as DOWN
+
+    def at_least_one(x):
+        return x if mpf_gt(x, fone) else fone
+
     zz, radii = P.certified_roots(min(tol * 1e-2, 1e-13))
     prec = MAHLER_PREC
     lo = hi = fone
@@ -107,9 +106,9 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
         re, im = z._mpc_
         square = mpf_add(mpf_mul(re, re), mpf_mul(im, im))   # exact
         r = from_float(r)
-        lo = mpf_mul(lo, _at_least_one(mpf_sub(
+        lo = mpf_mul(lo, at_least_one(mpf_sub(
             mpf_sqrt(square, prec, DOWN), r, prec, DOWN)), prec, DOWN)
-        hi = mpf_mul(hi, _at_least_one(mpf_add(
+        hi = mpf_mul(hi, at_least_one(mpf_add(
             mpf_sqrt(square, prec, UP), r, prec, UP)), prec, UP)
     lead = from_int(abs(P.lead))
     m_lo, m_hi = mpf_mul(lo, lead, prec, DOWN), mpf_mul(hi, lead, prec, UP)
@@ -146,10 +145,32 @@ def local_height_breakdown(xi: AlgebraicNumber, tol=DEFAULT_TOL):
 def _phi_inverse(d):
     """All m with phi(m) = d, ascending.
 
-    Complete because phi(m) >= sqrt(m/2) for every m, so phi(m) = d forces
-    m <= 2 d^2.
+    phi(m) is the product of p^(k-1) (p - 1) over the prime powers p^k || m,
+    so every prime p dividing such an m has (p - 1) | d.  The m are built
+    from those primes, each taken once in ascending order with every power
+    whose phi still divides what is left of d.
     """
-    return tuple(m for m in range(1, 2 * d * d + 1) if euler_phi(m) == d)
+    small = [k for k in range(1, math.isqrt(d) + 1) if d % k == 0]
+    divisors = sorted({*small, *(d // k for k in small)})
+    primes = [k + 1 for k in divisors if is_prime(k + 1)]
+    out = []
+
+    def extend(m, rest, start):       # phi(m) * rest = d
+        if rest == 1:
+            out.append(m)
+        for i in range(start, len(primes)):
+            p = primes[i]
+            if rest % (p - 1):
+                continue
+            q, pk = rest // (p - 1), p
+            while True:
+                extend(m * pk, q, i + 1)
+                if q % p:
+                    break
+                q, pk = q // p, pk * p
+
+    extend(1, d, 0)
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ results print a JSON error object and exit 1; usage errors print the same
 JSON error object and exit 2.  `--manifest PATH` additionally records the
 command, arguments, seed, versions and wall time.  Given the same `--seed`,
 CSV outputs are bit-identical across runs.
+
+Each subcommand imports the layers it runs in its own body, so a process
+that runs this module as a script (`python -m arithdyn.cli <cmd>`, or the
+`arithdyn` script through `arithdyn.__main__`) loads only those: `height`
+loads `projective`, `polyforms`, `numutil` and `errors`, and `preperiodic`
+loads no mpmath.
 """
 
 from __future__ import annotations
@@ -22,21 +28,15 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__
-from .algebraic import (AlgebraicNumber, is_root_of_unity,
-                        local_height_breakdown, mahler_measure)
-from .dynamics import (RationalMap, canonical_height_global,
-                       canonical_height_local, good_reduction_at,
-                       preperiodic_points_rational)
 from .errors import (InconsistentResultError, InvalidInputError,
                      ResourceLimitError)
-from .green import (EmpiricalMeasure, EscapeRateField, annulus_mass_bound,
-                    baker_mean_pairing, bilu_moment_test, discrepancy,
-                    discrete_energy, filled_julia_memberships,
-                    height_discrepancy_terms, transfinite_diameter)
-from .numutil import error_around, float_up, log_bounds
-from .polyforms import IntPoly
-from .projective import ProjPointQ, enumerate_points, schanuel_ratio
-from .torus import TorusPoint, monomial_pushforward, subadditivity_check, torus_height
+
+# Imported as a library module, load every layer up front: in-process
+# callers that wrap the layers' functions look them up in sys.modules right
+# after `import arithdyn.cli`.
+if __name__ != "__main__":
+    from . import (algebraic, dynamics, green, numutil,  # noqa: F401
+                   polyforms, projective, torus)
 
 
 def load_schema(name):
@@ -68,6 +68,7 @@ def _jsonable(obj):
 
 def parse_point(s):
     """'a/b' -> [a:b], 'inf' -> [1:0], 'a:b:c' -> P^k point."""
+    from .projective import ProjPointQ
     s = s.strip()
     if s == "inf":
         return ProjPointQ((1, 0))
@@ -80,11 +81,13 @@ def parse_point(s):
 
 
 def parse_poly(s):
+    from .polyforms import IntPoly
     return IntPoly(tuple(int(t) for t in s.split(",")))
 
 
 def parse_map(s):
     """'{"d": 2, "U": [...], "V": [...]}' -> RationalMap, every key checked."""
+    from .dynamics import RationalMap
     data = json.loads(s)
     if not isinstance(data, dict) or any(k not in data for k in "dUV"):
         raise InvalidInputError('a map is a JSON object with keys "d", "U", "V"')
@@ -133,6 +136,7 @@ HEIGHT_PREC = 80   # bits of the libmp enclosure of log H
 
 def _log_error(H, h):
     """The least float >= |h - log H| for a float h."""
+    from .numutil import error_around, log_bounds
     return error_around(h, *log_bounds(((1, H),), HEIGHT_PREC), HEIGHT_PREC)
 
 
@@ -143,6 +147,8 @@ def cmd_height(args):
 
 
 def cmd_enumerate(args):
+    from .numutil import float_up
+    from .projective import enumerate_points
     pts = enumerate_points(args.k, args.B)
     rows = [[*(str(c) for c in p.coords), str(p.H()), f"{p.height():.17g}"]
             for p in pts]
@@ -163,6 +169,7 @@ def cmd_enumerate(args):
 
 
 def cmd_schanuel(args):
+    from .projective import schanuel_ratio
     ratio = schanuel_ratio(args.k, args.B)
     # one rounding to nearest of a value known to 30 digits
     return {"k": args.k, "B": args.B, "ratio": ratio,
@@ -170,14 +177,21 @@ def cmd_schanuel(args):
 
 
 def cmd_mahler(args):
+    from .algebraic import mahler_measure
     res = mahler_measure(parse_poly(args.poly), args.tol)
-    return {"measure": res.measure, "measure_error": res.measure_error,
+    measure, measure_error = res.measure, res.measure_error
+    if not (math.isfinite(measure) and math.isfinite(measure_error)):
+        measure = measure_error = None   # M beyond floats; log M still fits
+    return {"measure": measure, "measure_error": measure_error,
             "log_measure": res.log_measure, "error_bound": res.error_bound,
             "archimedean_part": res.archimedean_part,
             "leading_coeff": res.leading_coeff}
 
 
 def cmd_algheight(args):
+    from .algebraic import (AlgebraicNumber, local_height_breakdown,
+                            mahler_measure)
+    from .numutil import float_up
     xi = AlgebraicNumber(parse_poly(args.poly))
     res = mahler_measure(xi.minpoly, args.tol)
     places = local_height_breakdown(xi, args.tol)
@@ -187,18 +201,21 @@ def cmd_algheight(args):
     err = float_up(Fraction(res.error_bound) / d
                    + abs(Fraction(h) - Fraction(res.log_measure) / d))
     return {"minpoly": [int(c) for c in xi.minpoly.coeffs],
-            "height": h, "mahler": res.measure,
+            "height": h,
+            "mahler": res.measure if math.isfinite(res.measure) else None,
             "places": {str(k): v for k, v in places.items()},
             "error_bound": err}
 
 
 def cmd_rou(args):
+    from .algebraic import AlgebraicNumber, is_root_of_unity
     verdict = is_root_of_unity(AlgebraicNumber(parse_poly(args.poly)))
     return {"is_root_of_unity": verdict.is_root_of_unity,
             "order": verdict.order, "reason": verdict.reason}
 
 
 def cmd_canheight(args):
+    from .dynamics import canonical_height_global, canonical_height_local
     f = parse_map(args.map)
     x = parse_point(args.point)
     out = {"map": f.to_json(), "point": str(x), "tol": args.tol}
@@ -224,6 +241,7 @@ def cmd_canheight(args):
 
 
 def cmd_preperiodic(args):
+    from .dynamics import preperiodic_points_rational
     f = parse_map(args.map)
     pts = preperiodic_points_rational(f)
     return {"map": f.to_json(),
@@ -231,6 +249,7 @@ def cmd_preperiodic(args):
 
 
 def cmd_goodred(args):
+    from .dynamics import good_reduction_at
     f = parse_map(args.map)
     table = [{"p": p, "good": good_reduction_at(f, p)} for p in f.bad_primes]
     extra = [p for p in (2, 3, 5, 7, 11, 13) if p not in f.bad_primes]
@@ -245,6 +264,8 @@ JULIA_GRID_CAP = 2 ** 20  # largest julia-sample grid, nx * ny points
 
 def cmd_julia_sample(args):
     import numpy as np
+
+    from .green import EscapeRateField, filled_julia_memberships
     if args.nx * args.ny > JULIA_GRID_CAP:
         raise ResourceLimitError(JULIA_GRID_CAP, f"a {args.nx} x {args.ny} "
                                  f"grid exceeds {JULIA_GRID_CAP} points")
@@ -277,6 +298,7 @@ def cmd_julia_sample(args):
 
 
 def cmd_tdiam(args):
+    from .green import EscapeRateField, transfinite_diameter
     f = parse_map(args.map)
     field = EscapeRateField(f, args.tol)
     res = transfinite_diameter(field, args.n, restarts=args.restarts,
@@ -287,6 +309,9 @@ def cmd_tdiam(args):
 
 
 def cmd_discrepancy(args):
+    from .algebraic import AlgebraicNumber
+    from .green import (EscapeRateField, discrepancy,
+                        height_discrepancy_terms)
     xi = AlgebraicNumber(parse_poly(args.poly))
     if args.map is None and args.power_d is None:
         raise InvalidInputError("give either --map or --power-d")
@@ -311,6 +336,7 @@ def _load_cloud(path):
 
 
 def cmd_baker(args):
+    from .green import EmpiricalMeasure, EscapeRateField, baker_mean_pairing
     f = parse_map(args.map)
     field = EscapeRateField(f, args.tol)
     if args.roots_of_unity is not None:
@@ -329,6 +355,8 @@ def cmd_baker(args):
 
 
 def cmd_bilu(args):
+    from .algebraic import AlgebraicNumber
+    from .green import EmpiricalMeasure, bilu_moment_test
     kind, _, spec = args.family.partition(":")
     if kind == "primitive":
         nu = EmpiricalMeasure.primitive_roots_of_unity(int(spec))
@@ -352,6 +380,7 @@ def cmd_bilu(args):
 
 
 def cmd_energy(args):
+    from .green import EmpiricalMeasure, EscapeRateField, discrete_energy
     f = parse_map(args.map)
     field = EscapeRateField(f, args.tol)
     pts = _load_cloud(args.cloud)
@@ -361,6 +390,8 @@ def cmd_energy(args):
 
 
 def cmd_annulus(args):
+    from .algebraic import AlgebraicNumber
+    from .green import annulus_mass_bound
     xi = AlgebraicNumber(parse_poly(args.poly))
     obs, bound = annulus_mass_bound(xi, args.r)
     return {"test": "annulus", "n": xi.degree, "r": args.r,
@@ -379,6 +410,9 @@ def _torus_coord_ok(item):
 
 
 def _parse_torus_coords(s):
+    from .algebraic import AlgebraicNumber
+    from .polyforms import IntPoly
+    from .torus import TorusPoint
     items = json.loads(s)
     if not isinstance(items, list) or not all(map(_torus_coord_ok, items)):
         raise InvalidInputError('coordinates are a JSON list of {"rational": '
@@ -390,6 +424,8 @@ def _parse_torus_coords(s):
 
 
 def cmd_torus(args):
+    from .algebraic import AlgebraicNumber
+    from .torus import monomial_pushforward, subadditivity_check, torus_height
     if args.torus_op == "height":
         x = _parse_torus_coords(args.coords)
         return {"height": torus_height(x)}

@@ -35,10 +35,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath.libmp import from_float, mpf_add, mpf_sub
-from mpmath.libmp import round_ceiling as UP
-from mpmath.libmp import round_floor as DOWN
-
 from .errors import (DegenerateMapError, InvalidInputError,
                      ResourceLimitError)
 from .numutil import (factorize, float_up, horner, kept_on_instance,
@@ -499,6 +495,8 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
     prec = 117   # 64 bits beyond a double
     lo, hi = log_bounds([(int(c * D), p) for p, (c, _) in finite.items()],
                         prec, D=D)
+    from mpmath.libmp import (from_float, mpf_add, mpf_sub,
+                              round_ceiling as UP, round_floor as DOWN)
     val = from_float(arch_val)
     err = from_float(float_up(sum((Fraction(t) for _, t in finite.values()),
                                   Fraction(arch_err))))

@@ -33,13 +33,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebraic import AlgebraicNumber, height_algebraic
-from .dynamics import RationalMap
 from .errors import (InvalidInputError, ResourceLimitError,
                      UnsupportedScopeError)
 from .numutil import factorize
 from .polyforms import discriminant, vp
+
+if TYPE_CHECKING:   # only height_discrepancy_terms builds a map
+    from .dynamics import RationalMap
 
 INF = "inf"  # marker for [1:0] in point lists
 
@@ -335,6 +338,7 @@ def height_discrepancy_terms(xi: AlgebraicNumber, d=2, tol=1e-12):
     if d > POWER_D_CAP:
         raise ResourceLimitError(POWER_D_CAP, f"power exponent {d} exceeds "
                                  f"the cap {POWER_D_CAP}")
+    from .dynamics import RationalMap
     d_inf = discrepancy(EscapeRateField(RationalMap.power(d), tol), xi, tol)
     lhs = height_algebraic(xi, tol)
     n = xi.degree

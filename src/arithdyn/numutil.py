@@ -2,6 +2,14 @@
 lock, the per-instance memo, Horner's rule, factorization, primality, floats
 rounded upward and directed bounds on integer combinations of logarithms.
 
+mpmath is imported by the functions that call `mpmath.libmp` (`log_bounds`,
+`log_up`, `error_around`, `reported`), not by the module: importing mpmath
+costs about 25 ms, and most CLI processes never take a logarithm.  They
+import the package `libmp` alone, which costs a fraction of a microsecond
+once mpmath is loaded, where importing each function by name costs several
+on these hot paths.  The lock is a plain `threading.RLock`, so holding it
+needs no mpmath.
+
 Miller-Rabin on the first 13 prime bases, deterministic below
 psi_13 = 3317044064679887385961981 (about 3.3e24; Sorenson & Webster,
 Math. Comp. 86, 2017), plus Brent's variant of Pollard rho under an
@@ -16,12 +24,6 @@ import math
 import threading
 from fractions import Fraction
 from functools import wraps
-
-from mpmath.libmp import (from_float, from_int, from_man_exp, mpf_add,
-                          mpf_div, mpf_log, mpf_mul, mpf_sub, to_float)
-from mpmath.libmp import round_ceiling as UP
-from mpmath.libmp import round_floor as DOWN
-from mpmath.libmp import round_nearest as NEAREST
 
 from .errors import ResourceLimitError
 
@@ -176,39 +178,48 @@ def log_bounds(terms, prec, m=(1, 1), P=0, tail=0.0, D=1):
     value), so the logs are taken under MP_PRECISION_LOCK, which every other
     mpmath block of arithdyn holds too.
     """
-    t = from_float(tail)
+    from mpmath import libmp
+    UP, DOWN = libmp.round_ceiling, libmp.round_floor
+    t = libmp.from_float(tail)
     with MP_PRECISION_LOCK:
-        lo = mpf_sub(mpf_log(from_man_exp(m[0], -P), prec, DOWN), t, prec,
-                     DOWN)
-        hi = mpf_add(mpf_log(from_man_exp(m[1], -P), prec, UP), t, prec, UP)
+        lo = libmp.mpf_sub(libmp.mpf_log(libmp.from_man_exp(m[0], -P), prec,
+                                         DOWN), t, prec, DOWN)
+        hi = libmp.mpf_add(libmp.mpf_log(libmp.from_man_exp(m[1], -P), prec,
+                                         UP), t, prec, UP)
         for nq, q in terms:
-            q = from_int(q)
-            logs = mpf_log(q, prec, DOWN), mpf_log(q, prec, UP)
-            lo = mpf_add(lo, mpf_mul(from_int(nq), logs[nq < 0], prec, DOWN),
-                         prec, DOWN)
-            hi = mpf_add(hi, mpf_mul(from_int(nq), logs[nq >= 0], prec, UP),
-                         prec, UP)
-    return mpf_div(lo, from_int(D), prec, DOWN), \
-        mpf_div(hi, from_int(D), prec, UP)
+            n, q = libmp.from_int(nq), libmp.from_int(q)
+            logs = libmp.mpf_log(q, prec, DOWN), libmp.mpf_log(q, prec, UP)
+            lo = libmp.mpf_add(lo, libmp.mpf_mul(n, logs[nq < 0], prec, DOWN),
+                               prec, DOWN)
+            hi = libmp.mpf_add(hi, libmp.mpf_mul(n, logs[nq >= 0], prec, UP),
+                               prec, UP)
+    den = libmp.from_int(D)
+    return libmp.mpf_div(lo, den, prec, DOWN), libmp.mpf_div(hi, den, prec, UP)
 
 
 def log_up(q):
     """A float >= log q for a rational q > 0, from q rounded up to 64 bits."""
+    from mpmath import libmp
     q = Fraction(q)
-    _, man, exp, _ = mpf_div(from_int(q.numerator), from_int(q.denominator),
-                             64, UP)
+    _, man, exp, _ = libmp.mpf_div(libmp.from_int(q.numerator),
+                                   libmp.from_int(q.denominator), 64,
+                                   libmp.round_ceiling)
     _, hi = log_bounds((), 64, (man, man), -exp)
-    return to_float(hi, rnd=UP)
+    return libmp.to_float(hi, rnd=libmp.round_ceiling)
 
 
 def error_around(v, lo, hi, prec):
     """The least float >= max(hi - v, v - lo): the libmp interval [lo, hi]
     lies in the float v +- it."""
-    return max(to_float(mpf_sub(hi, from_float(v), prec, UP), rnd=UP),
-               to_float(mpf_sub(from_float(v), lo, prec, UP), rnd=UP))
+    from mpmath import libmp
+    UP, v_mpf = libmp.round_ceiling, libmp.from_float(v)
+    return max(libmp.to_float(libmp.mpf_sub(hi, v_mpf, prec, UP), rnd=UP),
+               libmp.to_float(libmp.mpf_sub(v_mpf, lo, prec, UP), rnd=UP))
 
 
 def reported(lo, hi, prec):
     """(v, e): v the float (lo + hi)/2 rounds to and e = error_around(v)."""
-    v = to_float(mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2
+    from mpmath import libmp
+    NEAREST = libmp.round_nearest
+    v = libmp.to_float(libmp.mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2
     return v, error_around(v, lo, hi, prec)

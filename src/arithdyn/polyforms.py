@@ -12,8 +12,10 @@ the float pass's iterates (from the Cauchy circle when a coefficient does
 not fit a float or the float iterates end non-finite or coincident).  The
 mp pass doubles precision until a posteriori Weierstrass inclusion disks,
 widened by a bound on the rounding of p(z), are pairwise disjoint and
-smaller than the requested tolerance.  No numpy.  The mpmath lock, the
-per-instance memo, Horner's rule and the upward rounding come from
+smaller than the requested tolerance.  No numpy, and mpmath only inside the
+mp pass (`certified_roots_mp` and its helpers import it), so resultants,
+cofactors and the other exact arithmetic load neither.  The mpmath lock,
+the per-instance memo, Horner's rule and the upward rounding come from
 `numutil`, the layer below.
 """
 
@@ -24,9 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath as mpm
-from mpmath.libmp import mpf_abs, mpf_add, mpf_mul
 
 from .errors import DegenerateMapError, InvalidInputError, RepeatedRootError
 from .numutil import MP_PRECISION_LOCK, float_up, horner, kept_on_instance
@@ -578,6 +577,7 @@ def _float_start(monic):
 
 
 def _mpc_poly(coeffs):
+    import mpmath as mpm
     return [mpm.mpf(c.numerator) / mpm.mpf(c.denominator) for c in coeffs]
 
 
@@ -594,6 +594,8 @@ def _modulus_sum_up(moduli, z):
     """An mpf >= sum_k |c_k| |z|^k for moduli[k] = _fixed_up(|c_k|, P),
     low degree first: Horner on integers at the scale 2^P, P =
     MODULUS_BITS, each step rounded up."""
+    import mpmath as mpm
+    from mpmath.libmp import mpf_add, mpf_mul
     P = MODULUS_BITS
     re, im = z._mpc_
     n = _fixed_up(mpf_add(mpf_mul(re, re), mpf_mul(im, im)), 2 * P)
@@ -615,6 +617,8 @@ def certified_roots_mp(coeffs, tol):
     `_float_start`, or from the Cauchy circle when that has none, and each
     rung of the precision ladder from the iterates of the one before.
     """
+    import mpmath as mpm
+    from mpmath.libmp import mpf_abs
     d = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import mpmath as mpm
-
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
                      ResourceLimitError)
 from .numutil import MP_PRECISION_LOCK, log_up
@@ -180,6 +178,7 @@ def schanuel_ratio(k, B):
     Hmax = int(B)
     n = count_points(k, Hmax)
     q = Fraction(n) / (2 ** k * Fraction(B) ** (k + 1))
+    import mpmath as mpm
     with MP_PRECISION_LOCK, mpm.workdps(30):
         return float(mpm.mpf(q.numerator) / q.denominator * mpm.zeta(k + 1))
 

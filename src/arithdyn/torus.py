@@ -13,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebraic import AlgebraicNumber, height_algebraic
 from .errors import InvalidInputError, ResourceLimitError
-from .green import EmpiricalMeasure
 from .polyforms import IntPoly, resultant_univariate
+
+if TYPE_CHECKING:   # only clouds of algebraic pushforwards need green
+    from .green import EmpiricalMeasure
 
 EXACT_PRODUCT_DEGREE_CAP = 16
 CLOUD_POINT_CAP = 2 ** 20   # conjugate products in one pushforward cloud
@@ -150,6 +153,7 @@ def monomial_pushforward(x: TorusPoint, exponents):
         return PushforwardResult(val, None, None, h, bound)
 
     # complex cloud over all conjugate combinations
+    from .green import EmpiricalMeasure
     clouds = []
     for c, e in zip(x.coords, a):
         if e == 0:

@@ -2,15 +2,16 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from arithdyn.algebraic import (AlgebraicNumber, cyclotomic_number,
-                                height_algebraic, is_root_of_unity,
-                                lehmer_bounds, local_height_breakdown,
-                                mahler_measure)
+from arithdyn.algebraic import (AlgebraicNumber, _phi_inverse,
+                                cyclotomic_number, height_algebraic,
+                                is_root_of_unity, lehmer_bounds,
+                                local_height_breakdown, mahler_measure)
 from arithdyn.errors import InvalidInputError, RepeatedRootError
 from arithdyn.polyforms import IntPoly, complex_roots, cyclotomic, discriminant
 
@@ -177,6 +178,31 @@ class TestRootOfUnity:
                         for rt in complex_roots(p, 1e-10):
                             assert abs(rt.value) < 1e-8 \
                                 or abs(abs(rt.value) - 1) < 1e-8
+
+    def test_phi_inverse_matches_a_totient_scan(self):
+        # phi(m) >= sqrt(m/2), so every m with phi(m) <= 200 is at most
+        # 2 * 200^2; a sieve of phi over that range lists them all
+        top = 2 * 200 ** 2
+        phi = list(range(top + 1))
+        for p in range(2, top + 1):
+            if phi[p] == p:   # p is prime: nothing below it divided it
+                for m in range(p, top + 1, p):
+                    phi[m] -= phi[m] // p
+        scan = {}
+        for m in range(1, top + 1):
+            scan.setdefault(phi[m], []).append(m)
+        for d in range(1, 201):
+            assert _phi_inverse(d) == tuple(scan.get(d, ())), d
+
+    def test_phi_inverse_of_400_is_fast(self):
+        # the scan of every m <= 2 d^2 took seconds here, nearly all of
+        # `rou` on Phi_401
+        _phi_inverse.cache_clear()
+        t0 = time.perf_counter()
+        found = _phi_inverse(400)
+        assert time.perf_counter() - t0 < 0.05
+        assert found == (401, 451, 505, 802, 808, 825, 902, 1000, 1010, 1100,
+                         1212, 1500, 1650)
 
     def test_nonmonic_sweep_positive_height(self):
         # |lead| >= 2 primitive polynomials have h >= log(2)/d > 0

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, JSON shapes, exit codes, manifests, determinism."""
 
+import contextlib
 import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -98,6 +100,33 @@ class TestSpecExamples:
             assert abs(data["measure"] - M) <= data["measure_error"]
             assert abs(data["log_measure"] - mpmath.log(M)) \
                 <= data["error_bound"]
+
+    def test_mahler_beyond_the_float_range(self, capsys):
+        # X^3 - 10^320 X - 1: M is about 10^320, beyond every float, while
+        # log M is finite; its roots multiply to 1, so M = 1 / |r| for its
+        # one root r inside the unit circle
+        import jsonschema
+        from arithdyn.cli import load_schema
+        code, data = run_cli(["mahler", f"--poly=-1,{-10 ** 320},0,1"],
+                             capsys)
+        assert code == 0
+        jsonschema.validate(data, load_schema("mahler"))
+        assert data["measure"] is None and data["measure_error"] is None
+        with mpmath.workdps(50):
+            r = mpmath.findroot(lambda x: x ** 3 - mpmath.mpf(10) ** 320 * x
+                                - 1, -mpmath.mpf(10) ** -320)
+            assert abs(data["log_measure"] + mpmath.log(abs(r))) \
+                <= data["error_bound"]
+
+    def test_algheight_beyond_the_float_range(self, capsys):
+        import jsonschema
+        from arithdyn.cli import load_schema
+        code, data = run_cli(["algheight", f"--poly=-1,{-10 ** 320},0,1"],
+                             capsys)
+        assert code == 0
+        jsonschema.validate(data, load_schema("algheight"))
+        assert data["mahler"] is None
+        assert data["height"] == pytest.approx(320 * math.log(10) / 3)
 
     def test_algheight_bound_covers_the_division(self, capsys):
         # height = log M / 3 rounds once more than log M does
@@ -648,24 +677,37 @@ def cli_workdir(tmp_path_factory):
     return work
 
 
-@settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_generated_argv_ends_in_payload_or_error(data, cli_workdir, capsys,
-                                                  monkeypatch):
-    """Every README example with one option dropped or given a token from a
-    small pool ends in exit 0 and a schema-valid payload, or in exit 1/2 and
-    the error object; no exception escapes main()."""
+class ExampleOverrun(Exception):
+    """An example ran past its time limit (main() catches no such error)."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise ExampleOverrun(f"the example ran over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+EXAMPLE_SECONDS = 30   # a resultant that exhausts the rho budget takes ~1.5 s
+
+
+def assert_payload_or_error(argv, capsys):
+    """main(argv) ends within EXAMPLE_SECONDS in exit 0 and a schema-valid
+    payload, or in exit 1/2 and the error object; no exception escapes
+    main()."""
     import jsonschema
     from arithdyn.cli import load_schema
-    argv = data.draw(st.sampled_from(README_EXAMPLES))
-    i = data.draw(st.sampled_from(_options(argv)))
-    argv = _mutate(argv, i, data.draw(st.sampled_from([None] + TOKENS)))
-    monkeypatch.chdir(cli_workdir)   # for the files the examples write
-    try:
-        code = main(argv)
-    except SystemExit as exc:   # usage errors, from the parser
-        code = exc.code
+    with time_limit(EXAMPLE_SECONDS):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # usage errors, from the parser
+            code = exc.code
     out = capsys.readouterr().out.strip().splitlines()
 
     def refuse(token):
@@ -679,6 +721,91 @@ def test_generated_argv_ends_in_payload_or_error(data, cli_workdir, capsys,
         assert code in (1, 2)
         schema = load_schema("error")
     jsonschema.validate(data_out, schema)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_generated_argv_ends_in_payload_or_error(data, cli_workdir, capsys,
+                                                  monkeypatch):
+    """Every README example with one option dropped or given a token from a
+    small pool ends in a payload or the error object."""
+    argv = data.draw(st.sampled_from(README_EXAMPLES))
+    i = data.draw(st.sampled_from(_options(argv)))
+    argv = _mutate(argv, i, data.draw(st.sampled_from([None] + TOKENS)))
+    monkeypatch.chdir(cli_workdir)   # for the files the examples write
+    assert_payload_or_error(argv, capsys)
+
+
+SIX_DIGITS = st.integers(-10 ** 6, 10 ** 6)
+
+
+@st.composite
+def six_digit_map_argv(draw):
+    """canheight, goodred or julia-sample on a random map of degree 2 or 3
+    with coefficients up to 10^6 in absolute value."""
+    d = draw(st.sampled_from([2, 3]))
+    U, V = (draw(st.lists(SIX_DIGITS, min_size=d + 1, max_size=d + 1))
+            for _ in "UV")
+    f = json.dumps({"d": d, "U": U, "V": V})
+    command = draw(st.sampled_from(["canheight", "goodred", "julia-sample"]))
+    if command == "canheight":
+        a, b = draw(st.integers(-50, 50)), draw(st.integers(1, 50))
+        return ["canheight", "--map", f, f"--point={a}/{b}"]
+    if command == "goodred":
+        return ["goodred", "--map", f]
+    return ["julia-sample", "--map", f, "--nx", "3", "--ny", "3"]
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=six_digit_map_argv())
+def test_six_digit_maps_end_in_payload_or_error(argv, capsys):
+    # a resultant rho cannot split within its budget ends in the error
+    # object after about a second, so few examples keep this short
+    assert_payload_or_error(argv, capsys)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | st.text("01-/x ", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["rational", "minpoly", "x"]), inner,
+                      max_size=2),
+    max_leaves=6)
+WELL_FORMED = st.one_of(
+    st.fixed_dictionaries({"rational": st.integers(-9, 9)
+                           | st.fractions(max_denominator=9).map(str)}),
+    st.fixed_dictionaries({"minpoly": st.lists(st.integers(-2, 2),
+                                               max_size=4)}))
+# wrong types, nested lists, empty, zero or constant minpolys, zero rationals
+MALFORMED = st.one_of(
+    st.fixed_dictionaries({"rational": JSON_VALUES}),
+    st.fixed_dictionaries({"minpoly": JSON_VALUES}),
+    st.sampled_from([{"rational": "0"}, {"rational": 0}, {"rational": "0/7"},
+                     {"rational": "1/0"}, {"minpoly": []}, {"minpoly": [0]},
+                     {"minpoly": [0, 0, 0]}, {"minpoly": [3]},
+                     {"minpoly": [[1, 2]]}, [{"rational": "2"}]]),
+    JSON_VALUES)
+
+
+@st.composite
+def torus_argv(draw):
+    coords = draw(st.lists(WELL_FORMED | MALFORMED, max_size=3)
+                  | st.sampled_from([None, "2", 3, {"rational": "2"}]))
+    op = draw(st.sampled_from(["height", "push"]))
+    argv = ["torus", op, "--coords", json.dumps(coords)]
+    if op == "push":
+        exps = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        argv.append("--exp=" + ",".join(map(str, exps)))
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=torus_argv())
+def test_malformed_torus_coords_end_in_payload_or_error(argv, capsys):
+    assert_payload_or_error(argv, capsys)
 
 
 class TestSchemas:
