@@ -16,22 +16,21 @@ is irreducible; shipped inputs are known irreducibles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidInputError, RepeatedRootError
-from .numutil import MP_PRECISION_LOCK, factorize, is_prime, reported
+from .numutil import MP_PRECISION_LOCK, Value, factorize, is_prime, reported
 from .polyforms import IntPoly, complex_roots, cyclotomic
 
 DEFAULT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class AlgebraicNumber(Value):
     """Galois orbit of algebraic numbers, given by a primitive squarefree minpoly."""
 
-    minpoly: IntPoly
+    _fields = ("minpoly",)
 
     def __init__(self, minpoly):
         p = minpoly.primitive()
@@ -59,8 +58,7 @@ class AlgebraicNumber:
         return complex_roots(self.minpoly, tol)
 
 
-@dataclass(frozen=True)
-class MahlerResult:
+class MahlerResult(NamedTuple):
     measure: float
     log_measure: float
     error_bound: float        # of log_measure
@@ -173,8 +171,7 @@ def _phi_inverse(d):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class RootOfUnityVerdict:
+class RootOfUnityVerdict(NamedTuple):
     is_root_of_unity: bool
     order: int | None
     reason: str

@@ -12,13 +12,15 @@ Each subcommand imports the layers it runs in its own body, so a process
 that runs this module as a script (`python -m arithdyn.cli <cmd>`, or the
 `arithdyn` script through `arithdyn.__main__`) loads only those: `height`
 loads `projective`, `polyforms`, `numutil` and `errors`, and `preperiodic`
-loads no mpmath.
+loads no mpmath.  `csv` is imported only by the commands that read or write
+CSV, and `build_parser` builds only the subparser of the command that the
+command line names: the other subparsers cost several ms of each process
+and parse nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -61,7 +63,7 @@ def _jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):   # not a NamedTuple record
         return [_jsonable(v) for v in obj]
     return obj
 
@@ -73,7 +75,7 @@ def parse_point(s):
     if s == "inf":
         return ProjPointQ((1, 0))
     if ":" in s:
-        return ProjPointQ(tuple(Fraction(t) for t in s.split(":")))
+        return ProjPointQ(tuple(s.split(":")))
     if "/" in s:
         a, b = s.split("/")
         return ProjPointQ((int(a), int(b)))
@@ -147,6 +149,8 @@ def cmd_height(args):
 
 
 def cmd_enumerate(args):
+    import csv
+
     from .numutil import float_up
     from .projective import enumerate_points
     pts = enumerate_points(args.k, args.B)
@@ -263,6 +267,8 @@ JULIA_GRID_CAP = 2 ** 20  # largest julia-sample grid, nx * ny points
 
 
 def cmd_julia_sample(args):
+    import csv
+
     import numpy as np
 
     from .green import EscapeRateField, filled_julia_memberships
@@ -326,6 +332,7 @@ def cmd_discrepancy(args):
 
 
 def _load_cloud(path):
+    import csv
     pts = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.reader(fh):
@@ -355,6 +362,8 @@ def cmd_baker(args):
 
 
 def cmd_bilu(args):
+    import csv
+
     from .algebraic import AlgebraicNumber
     from .green import EmpiricalMeasure, bilu_moment_test
     kind, _, spec = args.family.partition(":")
@@ -418,7 +427,7 @@ def _parse_torus_coords(s):
         raise InvalidInputError('coordinates are a JSON list of {"rational": '
                                 '"a/b" or integer} or {"minpoly": [integers]} '
                                 'objects')
-    return TorusPoint([Fraction(item["rational"]) if "rational" in item
+    return TorusPoint([item["rational"] if "rational" in item
                        else AlgebraicNumber(IntPoly(item["minpoly"]))
                        for item in items])
 
@@ -442,7 +451,7 @@ def cmd_torus(args):
         def coord(s):
             if "," in s:
                 return AlgebraicNumber(parse_poly(s))
-            return Fraction(s)
+            return s
         rep = subadditivity_check(coord(args.alpha), coord(args.beta))
         return {"h_alpha": rep.h_alpha, "h_beta": rep.h_beta,
                 "h_product": rep.h_product, "holds": rep.holds,
@@ -483,7 +492,40 @@ positive_int = _number(lambda n: n >= 1, "a positive integer", int)
 _nonnegative_int = _number(lambda n: n >= 0, "a nonnegative integer", int)
 
 
-def build_parser():
+def _named_command(argv):
+    """The first argument of argv after exact `--manifest`/`--seed` options
+    and their values; None when an argument before it is any other option,
+    an abbreviation or a value that starts with '-'."""
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg in ("--manifest", "--seed"):
+            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            i += 2
+        elif arg.startswith(("--manifest=", "--seed=")):
+            i += 1
+        else:
+            return None if arg.startswith("-") else arg
+    return None
+
+
+def build_parser(argv=None):
+    """The parser of the command line argv (default sys.argv[1:]).
+
+    It holds only the subparser of the command that argv names (see
+    `_named_command`), since building all of them costs several ms of each
+    process.  When argv names no command for certain (`-h`, no command, an
+    unknown command, an abbreviated option) it holds every subparser.  The
+    top-level options are the same either way, so every parse and every
+    error is that of the full parser.
+    """
+    return _parser(_named_command(sys.argv[1:] if argv is None else argv))
+
+
+def _parser(only):
+    """The parser with the subparser `only`, or with every subparser when
+    `only` is None or names no command."""
     ap = _JsonErrorParser(
         prog="arithdyn",
         description="heights and equidistribution statistics for arithmetic "
@@ -494,116 +536,129 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, **kw)
         p.set_defaults(func=fn)
         return p
 
-    p = add("height", cmd_height, help="naive height of a point")
-    p.add_argument("--point", required=True)
+    if p := add("height", cmd_height, help="naive height of a point"):
+        p.add_argument("--point", required=True)
 
-    p = add("enumerate", cmd_enumerate, help="points of bounded height (CSV)")
-    p.add_argument("--k", type=_nonnegative_int, required=True)
-    p.add_argument("--B", type=nonnegative_float, required=True,
-                   help="log-height bound (H <= e^B)")
-    p.add_argument("--out")
+    if p := add("enumerate", cmd_enumerate,
+                help="points of bounded height (CSV)"):
+        p.add_argument("--k", type=_nonnegative_int, required=True)
+        p.add_argument("--B", type=nonnegative_float, required=True,
+                       help="log-height bound (H <= e^B)")
+        p.add_argument("--out")
 
-    p = add("schanuel", cmd_schanuel, help="Schanuel count ratio")
-    p.add_argument("--k", type=_nonnegative_int, required=True)
-    p.add_argument("--B", type=positive_float, required=True,
-                   help="exponential height bound")
+    if p := add("schanuel", cmd_schanuel, help="Schanuel count ratio"):
+        p.add_argument("--k", type=_nonnegative_int, required=True)
+        p.add_argument("--B", type=positive_float, required=True,
+                       help="exponential height bound")
 
-    p = add("mahler", cmd_mahler, help="certified Mahler measure")
-    p.add_argument("--poly", required=True,
-                   help="integer coefficients, low degree first, comma "
-                        "separated (use --poly=-1,2 for a leading minus)")
-    p.add_argument("--tol", type=positive_float, default=1e-12)
+    if p := add("mahler", cmd_mahler, help="certified Mahler measure"):
+        p.add_argument("--poly", required=True,
+                       help="integer coefficients, low degree first, comma "
+                            "separated (use --poly=-1,2 for a leading minus)")
+        p.add_argument("--tol", type=positive_float, default=1e-12)
 
-    p = add("algheight", cmd_algheight, help="height with place breakdown")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--tol", type=positive_float, default=1e-12)
+    if p := add("algheight", cmd_algheight,
+                help="height with place breakdown"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--tol", type=positive_float, default=1e-12)
 
-    p = add("rou", cmd_rou, help="root-of-unity verdict with witness order")
-    p.add_argument("--poly", required=True)
+    if p := add("rou", cmd_rou,
+                help="root-of-unity verdict with witness order"):
+        p.add_argument("--poly", required=True)
 
-    p = add("canheight", cmd_canheight, help="canonical height of a point")
-    p.add_argument("--map", required=True, help='{"d":2,"U":[...],"V":[...]}')
-    p.add_argument("--point", required=True)
-    p.add_argument("--tol", type=positive_float, default=1e-8)
-    p.add_argument("--method", choices=("global", "local", "both"),
-                   default="both")
+    if p := add("canheight", cmd_canheight,
+                help="canonical height of a point"):
+        p.add_argument("--map", required=True,
+                       help='{"d":2,"U":[...],"V":[...]}')
+        p.add_argument("--point", required=True)
+        p.add_argument("--tol", type=positive_float, default=1e-8)
+        p.add_argument("--method", choices=("global", "local", "both"),
+                       default="both")
 
-    p = add("preperiodic", cmd_preperiodic, help="rational preperiodic points")
-    p.add_argument("--map", required=True)
+    if p := add("preperiodic", cmd_preperiodic,
+                help="rational preperiodic points"):
+        p.add_argument("--map", required=True)
 
-    p = add("goodred", cmd_goodred, help="good-reduction prime table")
-    p.add_argument("--map", required=True)
+    if p := add("goodred", cmd_goodred, help="good-reduction prime table"):
+        p.add_argument("--map", required=True)
 
-    p = add("julia-sample", cmd_julia_sample,
-            help="filled-Julia membership on a grid (CSV)")
-    p.add_argument("--map", required=True)
-    p.add_argument("--re0", type=finite_float, default=-2.0)
-    p.add_argument("--re1", type=finite_float, default=2.0)
-    p.add_argument("--im0", type=finite_float, default=-2.0)
-    p.add_argument("--im1", type=finite_float, default=2.0)
-    p.add_argument("--nx", type=positive_int, default=41)
-    p.add_argument("--ny", type=positive_int, default=41)
-    p.add_argument("--tol", type=positive_float, default=1e-9)
-    p.add_argument("--out")
+    if p := add("julia-sample", cmd_julia_sample,
+                help="filled-Julia membership on a grid (CSV)"):
+        p.add_argument("--map", required=True)
+        p.add_argument("--re0", type=finite_float, default=-2.0)
+        p.add_argument("--re1", type=finite_float, default=2.0)
+        p.add_argument("--im0", type=finite_float, default=-2.0)
+        p.add_argument("--im1", type=finite_float, default=2.0)
+        p.add_argument("--nx", type=positive_int, default=41)
+        p.add_argument("--ny", type=positive_int, default=41)
+        p.add_argument("--tol", type=positive_float, default=1e-9)
+        p.add_argument("--out")
 
-    p = add("tdiam", cmd_tdiam, help="transfinite diameter via Fekete points")
-    p.add_argument("--map", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=32,
-                   help="restarts + 1 pools of backward-orbit points; power "
-                        "maps need none (the n-th roots of unity are exact)")
-    p.add_argument("--tol", type=positive_float, default=1e-10)
+    if p := add("tdiam", cmd_tdiam,
+                help="transfinite diameter via Fekete points"):
+        p.add_argument("--map", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--restarts", type=int, default=32,
+                       help="restarts + 1 pools of backward-orbit points; "
+                            "power maps need none (the n-th roots of unity "
+                            "are exact)")
+        p.add_argument("--tol", type=positive_float, default=1e-10)
 
-    p = add("discrepancy", cmd_discrepancy,
-            help="archimedean discrepancy; full identity for power maps")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--map")
-    p.add_argument("--power-d", type=int, dest="power_d")
-    p.add_argument("--tol", type=positive_float, default=1e-12)
+    if p := add("discrepancy", cmd_discrepancy,
+                help="archimedean discrepancy; full identity for power maps"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--map")
+        p.add_argument("--power-d", type=int, dest="power_d")
+        p.add_argument("--tol", type=positive_float, default=1e-12)
 
-    p = add("baker", cmd_baker, help="mean pairwise G statistic")
-    p.add_argument("--map", required=True)
-    points = p.add_mutually_exclusive_group(required=True)
-    points.add_argument("--points-file", dest="points_file")
-    points.add_argument("--roots-of-unity", dest="roots_of_unity", type=int)
-    p.add_argument("--tol", type=positive_float, default=1e-10)
+    if p := add("baker", cmd_baker, help="mean pairwise G statistic"):
+        p.add_argument("--map", required=True)
+        points = p.add_mutually_exclusive_group(required=True)
+        points.add_argument("--points-file", dest="points_file")
+        points.add_argument("--roots-of-unity", dest="roots_of_unity",
+                            type=int)
+        p.add_argument("--tol", type=positive_float, default=1e-10)
 
-    p = add("bilu", cmd_bilu, help="monomial moments of an orbit family")
-    p.add_argument("--family", required=True,
-                   help='"primitive:101", "all:64" or "poly:<coeffs>"')
-    p.add_argument("--exponents", default="1,2,3,4,5")
-    p.add_argument("--out")
+    if p := add("bilu", cmd_bilu, help="monomial moments of an orbit family"):
+        p.add_argument("--family", required=True,
+                       help='"primitive:101", "all:64" or "poly:<coeffs>"')
+        p.add_argument("--exponents", default="1,2,3,4,5")
+        p.add_argument("--out")
 
-    p = add("energy", cmd_energy, help="discrete energy of a point cloud")
-    p.add_argument("--map", required=True)
-    p.add_argument("--cloud", required=True, help='CSV of "re,im" rows')
-    p.add_argument("--tol", type=positive_float, default=1e-10)
+    if p := add("energy", cmd_energy, help="discrete energy of a point cloud"):
+        p.add_argument("--map", required=True)
+        p.add_argument("--cloud", required=True, help='CSV of "re,im" rows')
+        p.add_argument("--tol", type=positive_float, default=1e-10)
 
-    p = add("annulus", cmd_annulus, help="annulus mass lemma check")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--r", type=positive_float, required=True)
+    if p := add("annulus", cmd_annulus, help="annulus mass lemma check"):
+        p.add_argument("--poly", required=True)
+        p.add_argument("--r", type=positive_float, required=True)
 
-    p = add("torus", cmd_torus, help="torus height subsuite")
-    ops = p.add_subparsers(dest="torus_op", required=True)
-    coords = dict(required=True, help="JSON coordinate descriptors")
-    ops.add_parser("height").add_argument("--coords", **coords)
-    q = ops.add_parser("push")
-    q.add_argument("--coords", **coords)
-    q.add_argument("--exp", required=True, help="comma-separated exponents")
-    q = ops.add_parser("subadd")
-    q.add_argument("--alpha", required=True)
-    q.add_argument("--beta", required=True)
+    if p := add("torus", cmd_torus, help="torus height subsuite"):
+        ops = p.add_subparsers(dest="torus_op", required=True)
+        coords = dict(required=True, help="JSON coordinate descriptors")
+        ops.add_parser("height").add_argument("--coords", **coords)
+        q = ops.add_parser("push")
+        q.add_argument("--coords", **coords)
+        q.add_argument("--exp", required=True,
+                       help="comma-separated exponents")
+        q = ops.add_parser("subadd")
+        q.add_argument("--alpha", required=True)
+        q.add_argument("--beta", required=True)
 
+    if only is not None and not sub.choices:   # `only` names no command
+        return _parser(None)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     t0 = time.time()
     try:
         payload = args.func(args)

@@ -32,12 +32,12 @@ precision is never read or set.  Bounds computed in floats are rounded up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (DegenerateMapError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import (factorize, float_up, horner, kept_on_instance,
+from .numutil import (Value, factorize, float_up, horner, kept_on_instance,
                       log_bounds, log_up, reported)
 from .polyforms import BinaryForm, resultant
 from .projective import (ProjPointQ, _hmax_from_log_bound, binary_constants,
@@ -48,19 +48,16 @@ DIGIT_BUDGET = 10 ** 6           # decimal digits per coordinate, hard stop
 PREPERIODIC_ENUM_CAP = 500_000   # points under the Northcott bound
 
 
-@dataclass(frozen=True)
-class RationalMap:
+class RationalMap(Value):
     """Endomorphism of P^1 given by coprime integer forms of degree d >= 2.
 
     The factorization of Res(U, V), the largest Nullstellensatz cofactor
     coefficient and the constants derived from them are computed on first
-    use and kept on the instance (not fields, so equality, hashing and repr
-    depend on U, V and Res only).
+    use and kept on the instance, outside `_fields`: equality, hashing and
+    repr depend on U, V and Res = Res(U, V) only.
     """
 
-    U: BinaryForm
-    V: BinaryForm
-    res: int = field(init=False)
+    _fields = ("U", "V", "res")
 
     def __init__(self, U, V):
         if U.degree != V.degree or U.degree < 2:
@@ -166,13 +163,14 @@ def good_reduction_at(f: RationalMap, p):
 # exact orbits
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     points: list
     gcds: list                    # g_k with U(x_{k-1}) = g_k a_k etc.
     status: str                   # "cycle" | "escaping" | "budget-exhausted"
     cycle_entry: int | None = None
     cycle_length: int | None = None
+
+    __hash__ = None   # a result: compared, never used as a key
 
 
 def iterate(f: RationalMap, x: ProjPointQ, n_max=1000, height_cap=60.0,
@@ -383,13 +381,14 @@ def escape_rate_exact_pair(f: RationalMap, a, b, tol):
 # canonical height, global route
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GlobalHeightResult:
+class GlobalHeightResult(NamedTuple):
     value: float
     error: float
     n_used: int
     budget_exhausted: bool = False
     note: str = ""
+
+    __hash__ = None   # a result: compared, never used as a key
 
 
 def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8):
@@ -445,12 +444,13 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8):
 # canonical height, local route
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LocalHeightLedger:
+class LocalHeightLedger(NamedTuple):
     finite_places: dict           # prime -> (Fraction coeff of log p, tail)
     archimedean: tuple            # (value, error)
     total: float
     total_error: float
+
+    __hash__ = None   # a result: compared, never used as a key
 
     def to_json(self):
         fin = {str(p): {"coeff_of_log_p": f"{c.numerator}/{c.denominator}",
@@ -544,11 +544,12 @@ def preperiodic_points_rational(f: RationalMap, cap=PREPERIODIC_ENUM_CAP):
     return out
 
 
-@dataclass
-class CommutingReport:
+class CommutingReport(NamedTuple):
     max_gap: float
     tol: float
     per_point: list               # (point, h_f, h_g)
+
+    __hash__ = None   # a result: compared, never used as a key
 
 
 def commuting_height_agreement(f: RationalMap, g: RationalMap, samples=None,

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebraic import AlgebraicNumber, height_algebraic
 from .errors import (InvalidInputError, ResourceLimitError,
                      UnsupportedScopeError)
-from .numutil import factorize
+from .numutil import Value, factorize
 from .polyforms import discriminant, vp
 
 if TYPE_CHECKING:   # only height_discrepancy_terms builds a map
@@ -69,7 +68,7 @@ def __getattr__(name):
 
 def as_pair(p):
     """Coerce a point spec (complex z, the INF marker, or an (x,y) pair)."""
-    if isinstance(p, tuple):
+    if type(p) is tuple:   # a record such as CertifiedRoot is not a pair
         x, y = complex(p[0]), complex(p[1])
         if x == 0 and y == 0:
             raise InvalidInputError("(0, 0) is not a projective point")
@@ -79,15 +78,16 @@ def as_pair(p):
     return complex(p), complex(1)
 
 
-@dataclass
-class EscapeRateField:
+class EscapeRateField(Value):
     """Evaluator state for the homogeneous escape rate of one map."""
 
-    map: RationalMap
-    tol: float = 1e-9
+    _fields = ("map", "tol")
+    __hash__ = None
 
-    def __post_init__(self):
-        for name, form in (("U", self.map.U), ("V", self.map.V)):
+    def __init__(self, map: RationalMap, tol: float = 1e-9):
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "tol", tol)
+        for name, form in (("U", map.U), ("V", map.V)):
             for i, c in enumerate(form.coeffs):
                 try:
                     float(c)
@@ -97,10 +97,11 @@ class EscapeRateField:
                         f"{abs(c).bit_length()}-bit integer, does not fit a "
                         "float; the escape-rate field evaluates the map in "
                         "floats") from None
-        self.degree = self.map.degree
-        self.tail_constant = self.map.compacity_tail_constant()
-        self._exact_power = self.map.is_unit_power_pair()
-        self.depth = self._depth_for(self.tol)
+        object.__setattr__(self, "degree", map.degree)
+        object.__setattr__(self, "tail_constant",
+                           map.compacity_tail_constant())
+        object.__setattr__(self, "_exact_power", map.is_unit_power_pair())
+        object.__setattr__(self, "depth", self._depth_for(tol))
 
     def _depth_for(self, tol):
         d, K = self.degree, 1
@@ -256,11 +257,10 @@ def baker_fit_constant(field: EscapeRateField, families):
     return c, rows
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
+class EmpiricalMeasure(Value):
     """Uniformly weighted finite point cloud on P^1(C)."""
 
-    points: tuple  # tuple of (x, y) pairs
+    _fields = ("points",)  # a tuple of (x, y) pairs
 
     def __init__(self, points):
         object.__setattr__(self, "points",
@@ -365,13 +365,14 @@ FEKETE_POOL = 4096  # backward-orbit points per pool, and the largest n
 FEKETE_ORBITS = 64  # backward orbits advanced together to draw one pool
 
 
-@dataclass
-class TransfiniteDiameterResult:
+class TransfiniteDiameterResult(NamedTuple):
     n: int
     delta_n: float
     formula_value: float
     converged: bool
     config: list  # affine complex positions of the best configuration
+
+    __hash__ = None   # a result: compared, never used as a key
 
 
 def _julia_backward_samples(f: RationalMap, n, rng):
@@ -595,11 +596,12 @@ def transfinite_diameter_sweep(field: EscapeRateField, ns, restarts=32,
 # Bilu experiments
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MomentReport:
+class MomentReport(NamedTuple):
     moments: dict        # exponent -> |mean z^a|
     excluded: int        # points at 0 or infinity skipped for negative a
     n: int
+
+    __hash__ = None   # a result: compared, never used as a key
 
 
 def bilu_moment_test(nu: EmpiricalMeasure, exponents):

@@ -1,6 +1,8 @@
-"""The bottom layer, importing no arithdyn module but `errors`: the mpmath
-lock, the per-instance memo, Horner's rule, factorization, primality, floats
-rounded upward and directed bounds on integer combinations of logarithms.
+"""The bottom layer, importing no arithdyn module but `errors`: the base of
+the value types, the mpmath lock, the per-instance memo, rationals parsed
+under a digit cap, Horner's rule,
+factorization, primality, floats rounded upward and directed bounds on
+integer combinations of logarithms.
 
 mpmath is imported by the functions that call `mpmath.libmp` (`log_bounds`,
 `log_up`, `error_around`, `reported`), not by the module: importing mpmath
@@ -24,6 +26,7 @@ import math
 import threading
 from fractions import Fraction
 from functools import wraps
+from operator import attrgetter
 
 from .errors import ResourceLimitError
 
@@ -33,10 +36,74 @@ from .errors import ResourceLimitError
 MP_PRECISION_LOCK = threading.RLock()
 
 
+class Value:
+    """Base of the value types that check or normalize their fields in
+    `__init__`: equality, hashing and repr over the fields named in
+    `_fields`, as a frozen dataclass has them, with no code generated when a
+    class is defined.  Instances of one class are equal when their fields
+    are, hash as the tuple of their fields and print as
+    `Name(field=value, ...)`; assigning or deleting an attribute raises
+    AttributeError, so `__init__` sets the fields with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1
+                                   else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+RATIONAL_DIGIT_CAP = 4300   # digits of a parsed rational, as int() allows
+
+
+def parse_rational(s):
+    """Fraction(s) for a number or a string such as '-3/4' or '1.5e-3'.
+
+    Fraction expands a decimal exponent in full, so '1e999999999' would
+    build 10^999999999: a string whose digits plus |exponent| exceed
+    RATIONAL_DIGIT_CAP is refused with ResourceLimitError first.
+    """
+    if isinstance(s, str):
+        mantissa, e, exponent = s.lower().partition("e")
+        try:
+            shift = abs(int(exponent)) if e else 0
+        except ValueError:      # not a number: Fraction says so below
+            shift = 0
+        size = sum(c.isdigit() for c in mantissa) + shift
+        if size > RATIONAL_DIGIT_CAP:
+            raise ResourceLimitError(
+                RATIONAL_DIGIT_CAP, f"the rational {s[:40]!r} has {size} "
+                f"digits, more than {RATIONAL_DIGIT_CAP}")
+    return Fraction(s)
+
+
 def kept_on_instance(method):
-    """Make a no-argument method of an immutable value compute its result
-    once and keep it in the instance dict (not a dataclass field).  Two
-    threads may both compute it; either stores the same value."""
+    """Make a no-argument method of a `Value` compute its result once and
+    keep it in the instance dict, outside `_fields`, so equality, hashing
+    and repr do not see it.  Two threads may both compute it; either stores
+    the same value."""
     name = f"_kept_{method.__name__}"
 
     @wraps(method)

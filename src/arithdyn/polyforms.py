@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DegenerateMapError, InvalidInputError, RepeatedRootError
-from .numutil import MP_PRECISION_LOCK, float_up, horner, kept_on_instance
+from .numutil import (MP_PRECISION_LOCK, Value, float_up, horner,
+                      kept_on_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -42,18 +43,18 @@ def _trim(coeffs):
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Value):
     """Dense univariate polynomial, coefficients low degree first.
 
     Coefficients may be ints or Fractions; exact constructors normalize
     nothing beyond trimming trailing zeros, so `primitive()` must be called
     where content-1 / positive-leading-coefficient form is required.  The
     squarefree test and the certified roots, once computed, are kept on the
-    instance (not fields).
+    instance, outside `_fields`: equality, hashing and repr depend on the
+    coefficients only.
     """
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _trim(coeffs))
@@ -220,12 +221,10 @@ class IntPoly:
 # binary forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Value):
     """Homogeneous form of degree d in X, Y; coeffs[i] multiplies X^(d-i) Y^i."""
 
-    degree: int
-    coeffs: tuple
+    _fields = ("degree", "coeffs")
 
     def __init__(self, degree, coeffs):
         coeffs = tuple(coeffs)
@@ -466,8 +465,7 @@ def vp(q, p):
     return n
 
 
-@dataclass(frozen=True)
-class PadicValuation:
+class PadicValuation(NamedTuple):
     """Typed (prime, valuation) pair; value None encodes +infinity."""
 
     prime: int
@@ -489,8 +487,7 @@ class PadicValuation:
 # certified complex roots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertifiedRoot:
+class CertifiedRoot(NamedTuple):
     value: complex
     radius: float
 

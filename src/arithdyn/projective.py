@@ -8,13 +8,13 @@ exponential height H is the max absolute coordinate; h = log H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import MP_PRECISION_LOCK, log_up
+from .numutil import MP_PRECISION_LOCK, Value, log_up, parse_rational
 from .polyforms import BinaryForm, nullstellensatz_cofactors
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
@@ -22,7 +22,8 @@ COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entrie
 
 
 def _normalize_coords(coords):
-    fracs = [Fraction(c) for c in coords]
+    fracs = [parse_rational(c) if c.__class__ is str else Fraction(c)
+             for c in coords]
     if all(f == 0 for f in fracs):
         raise InvalidInputError("projective coordinates cannot all vanish")
     den = math.lcm(*(f.denominator for f in fracs))
@@ -37,11 +38,10 @@ def _normalize_coords(coords):
     return tuple(ints)
 
 
-@dataclass(frozen=True)
-class ProjPointQ:
+class ProjPointQ(Value):
     """Point of P^k(Q) in normalized coprime-integer coordinates."""
 
-    coords: tuple
+    _fields = ("coords",)
 
     def __init__(self, coords):
         object.__setattr__(self, "coords", _normalize_coords(coords))
@@ -230,8 +230,7 @@ def linear_projection(x: ProjPointQ, m):
 # morphisms of projective spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomForm:
+class HomForm(NamedTuple):
     """Homogeneous integer polynomial in k+1 variables as {exponents: coeff}."""
 
     nvars: int
@@ -273,8 +272,7 @@ class HomForm:
         return len(self.terms) == 1 and abs(self.terms[0][1]) == 1
 
 
-@dataclass(frozen=True)
-class HomMorphism:
+class HomMorphism(Value):
     """Rational map P^k -> P^m given by m+1 forms of common degree d.
 
     `base_point_free` is decided by exact elimination when the source is
@@ -283,16 +281,17 @@ class HomMorphism:
     runtime either way.
     """
 
-    forms: tuple  # HomForm instances
-    base_point_free: bool = False
+    _fields = ("forms", "base_point_free")
 
-    def __post_init__(self):
-        degs = {f.degree for f in self.forms}
+    def __init__(self, forms, base_point_free=False):
+        """`forms` is a tuple of HomForm instances."""
+        degs = {f.degree for f in forms}
         if len(degs) != 1:
             raise InvalidInputError("all forms must share a degree")
-        if self.forms[0].nvars == 2:
-            object.__setattr__(self, "base_point_free",
-                               not _binary_common_zero(self.forms))
+        if forms[0].nvars == 2:
+            base_point_free = not _binary_common_zero(forms)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "base_point_free", base_point_free)
 
     @property
     def source_dim(self):

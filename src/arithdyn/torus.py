@@ -11,12 +11,12 @@ resultants) when the combined degree stays at or below 16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebraic import AlgebraicNumber, height_algebraic
 from .errors import InvalidInputError, ResourceLimitError
+from .numutil import Value, parse_rational
 from .polyforms import IntPoly, resultant_univariate
 
 if TYPE_CHECKING:   # only clouds of algebraic pushforwards need green
@@ -29,15 +29,14 @@ CLOUD_POINT_CAP = 2 ** 20   # conjugate products in one pushforward cloud
 def coordinate_height(c):
     if isinstance(c, AlgebraicNumber):
         return height_algebraic(c)
-    q = Fraction(c)
+    q = parse_rational(c)
     if q == 0:
         raise InvalidInputError("torus coordinates must be nonzero")
     return math.log(max(abs(q.numerator), q.denominator))
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    coords: tuple  # Fractions and/or AlgebraicNumbers, all nonzero
+class TorusPoint(Value):
+    _fields = ("coords",)  # Fractions and/or AlgebraicNumbers, all nonzero
 
     def __init__(self, coords):
         clean = []
@@ -47,7 +46,7 @@ class TorusPoint:
                     raise InvalidInputError("torus coordinates must be nonzero")
                 clean.append(c)
             else:
-                q = Fraction(c)
+                q = parse_rational(c)
                 if q == 0:
                     raise InvalidInputError("torus coordinates must be nonzero")
                 clean.append(q)
@@ -117,13 +116,14 @@ def _product_polynomial(coords, exponents):
     return acc.primitive()
 
 
-@dataclass
-class PushforwardResult:
+class PushforwardResult(NamedTuple):
     rational: Fraction | None       # exact value when all coordinates rational
     cloud: EmpiricalMeasure | None  # conjugate-product cloud otherwise
     minpoly: IntPoly | None         # exact annihilating polynomial if computed
     height: float | None            # exact/certified height when available
     bound: float                    # sum |a_i| max_i h(x_i)
+
+    __hash__ = None   # a result: compared, never used as a key
 
 
 def monomial_pushforward(x: TorusPoint, exponents):
@@ -175,13 +175,14 @@ def monomial_pushforward(x: TorusPoint, exponents):
     return PushforwardResult(None, cloud, None, None, bound)
 
 
-@dataclass
-class SubadditivityReport:
+class SubadditivityReport(NamedTuple):
     h_alpha: float
     h_beta: float
     h_product: float | None
     holds: bool | None
     note: str
+
+    __hash__ = None   # a result: compared, never used as a key
 
 
 def subadditivity_check(alpha, beta):

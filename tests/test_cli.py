@@ -11,6 +11,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -20,7 +21,10 @@ from hypothesis import strategies as st
 
 import arithdyn
 from arithdyn.cli import main, parse_map
+from arithdyn.errors import ResourceLimitError
 from arithdyn.green import EscapeRateField, filled_julia_membership
+from arithdyn.projective import ProjPointQ
+from arithdyn.torus import TorusPoint, coordinate_height
 
 Z2P1 = '{"d":2,"U":[1,0,1],"V":[0,0,1]}'
 POWER2 = '{"d":2,"U":[1,0,0],"V":[0,0,1]}'
@@ -527,6 +531,37 @@ class TestRejections:
                                    capsys)
         assert code == 1 and data["error"] == "ResourceLimitError"
 
+    @pytest.mark.parametrize("argv,huge", [
+        (["height", "--point", "1e999999999:1"], "1e999999999"),
+        (["height", "--point", "1:1E-999999999"], "1E-999999999"),
+        (["height", "--point", "1e4300:1"], "1e4300"),
+        (["height", "--point", "1" * 4301 + ":1"], "1" * 4301),
+        (["torus", "height", "--coords", '[{"rational": "1e999999999"}]'],
+         "1e999999999"),
+        (["torus", "subadd", "--alpha", "1e999999999", "--beta", "2"],
+         "1e999999999"),
+        (["torus", "subadd", "--alpha", "2", "--beta=-.5e+999999999"],
+         "-.5e+999999999"),
+    ], ids=["height", "height-negative-exponent", "height-just-over",
+            "height-digits", "torus-height", "torus-subadd-alpha",
+            "torus-subadd-beta"])
+    def test_rational_beyond_cap(self, argv, huge, capsys, monkeypatch):
+        # Fraction('1e999999999') would build 10^999999999, minutes and
+        # about 400 MB in one C call; the cap must refuse the string first
+        refuse_to_fraction(monkeypatch, huge)
+        code, data = self.rejected(argv, capsys)
+        assert code == 1 and data["error"] == "ResourceLimitError"
+
+    def test_rational_at_the_cap(self, capsys):
+        from arithdyn.numutil import RATIONAL_DIGIT_CAP, parse_rational
+        assert RATIONAL_DIGIT_CAP == 4300
+        code, data = run_cli(["height", "--point", "1e4299:1"], capsys)
+        assert code == 0 and data["H"] == 10 ** 4299
+        for s in ("-3/4", " 1.5e-3 ", "1_0e1_0", "-.5E2", 7, "1e4299"):
+            assert parse_rational(s) == Fraction(s)
+        with pytest.raises(ValueError):
+            parse_rational("1/2x")
+
     @pytest.mark.parametrize("argv", [
         ["baker", "--map", POWER2, "--roots-of-unity", "100000"],
         ["bilu", "--family", "all:100000", "--exponents", "1"],
@@ -675,6 +710,30 @@ def cli_workdir(tmp_path_factory):
                             f"{math.sin(2 * math.pi * k / 8)!r}\n"
                             for k in range(8)))
     return work
+
+
+def refuse_to_fraction(monkeypatch, huge):
+    """Make numutil's Fraction fail on the string `huge`, so a test shows
+    that parse_rational refuses it without building the number."""
+    from arithdyn import numutil
+
+    def fraction(*args):
+        assert args[0] != huge, f"Fraction({huge[:20]!r}...) was called"
+        return Fraction(*args)
+    monkeypatch.setattr(numutil, "Fraction", fraction)
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: ProjPointQ((s, 1)),
+    lambda s: TorusPoint((2, s)),
+    lambda s: coordinate_height(s),
+], ids=["ProjPointQ", "TorusPoint", "coordinate_height"])
+def test_library_rational_beyond_cap(build, monkeypatch):
+    # the cap holds for strings handed to the library, not only to the CLI
+    refuse_to_fraction(monkeypatch, "1e999999999")
+    with pytest.raises(ResourceLimitError):
+        build("1e999999999")
+    assert build("3/4") == build(Fraction(3, 4))
 
 
 class ExampleOverrun(Exception):

@@ -159,6 +159,20 @@ def test_certified_root_path_loads_no_numpy():
     assert _precision_changes(trees["algebraic.py"]) == ([], [])
 
 
+def test_no_module_imports_dataclasses():
+    # importing dataclasses costs about 13 ms of a CLI process (most of it
+    # inspect), and each decorated class more, as exec of generated code;
+    # value types derive from numutil.Value, records are NamedTuples
+    found = []
+    for p in SOURCES:
+        for n in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            names = [a.name for a in n.names] if isinstance(n, ast.Import) \
+                else [n.module] if isinstance(n, ast.ImportFrom) else []
+            found += [f"{p.name}:{n.lineno}" for m in names
+                      if m and m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def _definitions(tree):
     """Names bound at module level by def, class or assignment."""
     out = []
@@ -171,12 +185,12 @@ def _definitions(tree):
 
 
 def test_shared_helpers_have_one_definition():
-    # the lock, the memo, the upward rounding and Horner's rule live in
-    # numutil; a second copy drifts from the first
+    # the lock, the value base, the memo, the upward rounding and Horner's
+    # rule live in numutil; a second copy drifts from the first
     defined = {p.name: _definitions(ast.parse(p.read_text(), filename=str(p)))
                for p in SOURCES}
-    for name in ("MP_PRECISION_LOCK", "kept_on_instance", "float_up",
-                 "horner"):
+    for name in ("MP_PRECISION_LOCK", "Value", "kept_on_instance",
+                 "float_up", "horner"):
         assert [m for m, names in defined.items() if name in names] \
             == ["numutil.py"], name
     assert not [m for m, names in defined.items()

@@ -1,6 +1,8 @@
-"""What a CLI process loads: each README example, run as `python -m
-arithdyn.cli` in a fresh interpreter, imports only the arithdyn modules its
-subcommand runs, and mpmath only where mp arithmetic runs."""
+"""What a CLI process loads and builds: each README example, run as
+`python -m arithdyn.cli` in a fresh interpreter, imports only the arithdyn
+modules its subcommand runs, mpmath only where mp arithmetic runs and
+neither `dataclasses` nor (without numpy) `inspect`; its parser holds only
+the subparser of its command and parses as the full parser."""
 
 import json
 import math
@@ -114,6 +116,9 @@ def test_example_loads_only_its_layers(label, argv, layers, mp, tmp_path):
     else:
         assert code == 0 and "error" not in payload
     assert _loaded(modules) == (layers, mp)
+    # dataclasses costs its import and inspect's; numpy imports inspect
+    assert "dataclasses" not in modules
+    assert ("inspect" in modules) == ("numpy" in modules)
 
 
 def test_bare_import_loads_no_submodule_and_no_mpmath(tmp_path):
@@ -150,3 +155,92 @@ def test_every_exported_name_resolves():
     assert set(names) <= set(namespace)
     with pytest.raises(AttributeError):
         arithdyn.no_such_name
+
+
+# argv that name a command after exact global options, then argv the
+# parser falls back to the full tree for: no command, help, an unknown or
+# abbreviated command, an abbreviated or unfinished global option, a value
+# that starts with '-', and '--'
+GLOBAL_FIRST = [
+    ["--seed", "3", "tdiam", "--map", POWER2, "--n", "10"],
+    ["--manifest", "run.json", "rou", "--poly", "1,0,-1,0,1"],
+    ["--manifest=run.json", "--seed=5", "--seed", "7", "height", "--point",
+     "3:5:-7"],
+    ["--manifest", "height", "height", "--point", "1/2"],
+    ["--seed", "x", "height", "--point", "1/2"],
+    ["height", "--point", "1/2", "--seed", "3"],
+    ["height"],
+    ["height", "-h"],
+    ["torus"],
+    ["torus", "--help"],
+    ["torus", "cube", "--coords", "[]"],
+]
+FALLBACK = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--seed", "3"],
+    ["nosuch", "--point", "1/2"],
+    ["heigh", "--point", "1/2"],
+    ["--see", "3", "height", "--point", "1/2"],
+    ["--man=run.json", "height", "--point", "1/2"],
+    ["--seed", "-3", "height", "--point", "1/2"],
+    ["--manifest"],
+    ["--", "height", "--point", "1/2"],
+    ["-x", "height", "--point", "1/2"],
+]
+
+
+def _parse(parser, argv, capsys):
+    """(namespace as a dict, or the exit code of a parse that ends the
+    process; stdout) of parser.parse_args(argv)."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr().out
+
+
+def _subcommands(parser):
+    """Names of the subparsers the parser holds."""
+    import argparse
+    action, = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+@pytest.mark.parametrize("argv", [e[1] for e in EXAMPLES] + GLOBAL_FIRST
+                         + FALLBACK, ids=[e[0] for e in EXAMPLES]
+                         + [" ".join(a)[:40] for a in GLOBAL_FIRST + FALLBACK])
+def test_one_subparser_parses_as_the_full_parser(argv, capsys):
+    from arithdyn.cli import _parser, build_parser
+    full = _parser(None)
+    one = build_parser(argv)
+    assert _parse(one, argv, capsys) == _parse(full, argv, capsys)
+    held = _subcommands(one)
+    if argv in FALLBACK:
+        assert held == _subcommands(full) and len(held) == 17
+    else:
+        assert held == [next(a for a in argv if a in held)]
+
+
+def test_main_exits_as_with_the_full_parser(capsys, monkeypatch):
+    # exit code and stdout of whole runs, then of the same runs with the
+    # full parser
+    from arithdyn import cli
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    argvs = [["--seed", "3", "rou", "--poly", "1,0,-1,0,1"],
+             ["rou", "--poly", "1,0,-1,0,1", "--tol", "1"], ["nosuch"],
+             ["--seed", "-3", "rou", "--poly", "1,1"],
+             ["mahler", "--poly", "0"]]
+    runs = [run(argv) for argv in argvs]
+    assert [code for code, _ in runs] == [0, 2, 2, 0, 1]
+    monkeypatch.setattr(cli, "build_parser", lambda argv: cli._parser(None))
+    assert [run(argv) for argv in argvs] == runs
