@@ -332,14 +332,49 @@ def cmd_discrepancy(args):
 
 
 def _load_cloud(path):
+    """Affine points of a CSV file of `re,im` rows; empty rows, and a
+    header on line 1 (first field `re` or `x`), are skipped.  Any other row
+    that does not hold two finite numbers raises InvalidInputError naming
+    its line, and reading stops at the first point beyond PAIR_POINT_CAP."""
     import csv
+
+    from .green import PAIR_POINT_CAP
     pts = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("re", "x"):
-                continue
-            pts.append(complex(float(row[0]), float(row[1])))
+        rows = csv.reader(fh)
+        try:
+            for row in rows:
+                if not row or (rows.line_num == 1 and
+                               row[0].strip().lower() in ("re", "x")):
+                    continue
+                try:
+                    re, im = map(float, row)
+                except ValueError:   # not a number, or not two columns
+                    re = im = math.nan
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise InvalidInputError(
+                        f"{path} line {rows.line_num}: "
+                        f"{','.join(row)[:40]!r} is not two finite numbers")
+                pts.append(complex(re, im))
+                if len(pts) > PAIR_POINT_CAP:
+                    raise ResourceLimitError(
+                        PAIR_POINT_CAP, f"{path} holds more than "
+                        f"{PAIR_POINT_CAP} points, the point cap")
+        except csv.Error as exc:
+            raise InvalidInputError(
+                f"{path} line {rows.line_num}: {exc}") from None
     return pts
+
+
+def _pair_mean(mean, points):
+    """(mean pairwise G or None, duplicates) for a payload: a repeated point
+    makes the mean +inf, which is reported as null."""
+    if len(set(points)) < len(points):
+        return None, True
+    if not math.isfinite(mean):
+        raise InvalidInputError("the mean pairwise G of these points is "
+                                "not finite in floats")
+    return mean, False
 
 
 def cmd_baker(args):
@@ -351,14 +386,14 @@ def cmd_baker(args):
         points = list(nu.points)
     else:
         points = _load_cloud(args.points_file)
-    mean = baker_mean_pairing(field, points)
+    mean, duplicates = _pair_mean(baker_mean_pairing(field, points), points)
     n = len(points)
     # comparison constant c = 5 in -c log n / n, as in the Fekete check
     bound = -5 * math.log(n) / n
     return {"test": "baker", "n": n, "statistic": mean,
             "mean_pairwise_G": mean, "bound": bound,
-            "pass": (not math.isinf(mean)) and mean >= bound,
-            "duplicates": math.isinf(mean)}
+            "pass": mean is not None and mean >= bound,
+            "duplicates": duplicates}
 
 
 def cmd_bilu(args):
@@ -394,8 +429,9 @@ def cmd_energy(args):
     field = EscapeRateField(f, args.tol)
     pts = _load_cloud(args.cloud)
     nu = EmpiricalMeasure(pts)
-    e = discrete_energy(field, nu)
-    return {"test": "energy", "n": len(nu), "statistic": e, "energy": e}
+    e, duplicates = _pair_mean(discrete_energy(field, nu), pts)
+    return {"test": "energy", "n": len(nu), "statistic": e, "energy": e,
+            "duplicates": duplicates}
 
 
 def cmd_annulus(args):

@@ -14,8 +14,11 @@ is refused when its field is built.  The pairing
 
 is scale-invariant and symmetric, +infinity on the diagonal.  Its means
 over point sets (Baker means, energies, discrepancies) sum the
-log-determinants over i < j a block of rows at a time, at most PAIR_BLOCK
-entries per block, so memory does not grow with n^2; point sets of more
+log-determinants over i < j.  Sets of at most PAIR_PYTHON_POINTS points,
+all that the CLI's README examples pass, are summed in Python floats, as
+importing numpy would cost such a process more than the sum; larger sets
+are summed with numpy a block of rows at a time, at most PAIR_BLOCK
+entries per block, so memory does not grow with n^2.  Point sets of more
 than PAIR_POINT_CAP points raise ResourceLimitError before they are
 built.  Fekete configurations maximize the product of |x_i y_j - x_j y_i|
 over the filled Julia set.  The objective, the pairwise log-distance sum
@@ -51,8 +54,21 @@ def _log(t):
     return math.log(t) if t > 0 else -math.inf if t == 0 else math.nan
 
 
-def _nan_max(a, b):
-    # max that propagates NaN from either argument, as np.maximum does
+def _abs(z):
+    # abs with np.abs's inf where the modulus of a finite z overflows
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _max_abs(x, y):
+    # max(|x|, |y|) as np.maximum(np.abs(x), np.abs(y)) gives it: NaN from
+    # either side propagates, and a modulus beyond the float range is inf
+    try:
+        a, b = abs(x), abs(y)
+    except OverflowError:
+        a, b = _abs(x), _abs(y)
     return a if a >= b or a != a else b
 
 
@@ -109,10 +125,10 @@ class EscapeRateField(Value):
             K += 1
         return K
 
-    def _lambda(self, x, y, log, maximum):
+    def _lambda(self, x, y, log, max_abs):
         """The escape-rate recurrence, for Python complex x, y with _log and
-        _nan_max or for numpy arrays with np.log and np.maximum."""
-        m = maximum(abs(x), abs(y))
+        _max_abs or for numpy arrays with np.log and the maximum of np.abs."""
+        m = max_abs(x, y)
         acc = log(m)
         if self._exact_power:
             return acc
@@ -121,7 +137,7 @@ class EscapeRateField(Value):
         w = 1.0
         for _ in range(self.depth):
             X, Y = U(x, y), V(x, y)
-            m = maximum(abs(X), abs(Y))
+            m = max_abs(X, Y)
             w /= d
             acc = acc + w * log(m)
             x, y = X / m, Y / m
@@ -134,16 +150,18 @@ class EscapeRateField(Value):
         y = np.asarray(ys, dtype=complex)
         if np.any((x == 0) & (y == 0)):
             raise InvalidInputError("(0, 0) has no escape rate")
-        return self._lambda(x, y, np.log, np.maximum)
+        return self._lambda(x, y, np.log,
+                            lambda a, b: np.maximum(abs(a), abs(b)))
 
     def escape(self, x, y):
-        """Lambda at one point, without numpy; NaN where escape_vec gives
-        NaN (a non-finite coordinate)."""
+        """Lambda at one point, without numpy; NaN or inf where escape_vec
+        gives them (a non-finite coordinate, a modulus beyond the float
+        range)."""
         x, y = complex(x), complex(y)
         if x == 0 and y == 0:
             raise InvalidInputError("(0, 0) has no escape rate")
         try:
-            return float(self._lambda(x, y, _log, _nan_max))
+            return float(self._lambda(x, y, _log, _max_abs))
         except ZeroDivisionError:  # an orbit fell on (0, 0): NaN in numpy
             return math.nan
 
@@ -193,6 +211,7 @@ def g_pairing(field: EscapeRateField, P1, P2):
 
 PAIR_POINT_CAP = 2 ** 14  # most points of a pairwise statistic
 PAIR_BLOCK = 2 ** 18  # most entries of one block of pairwise determinants
+PAIR_PYTHON_POINTS = 64  # most points whose pairwise sums run in floats
 
 
 def _check_point_count(n):
@@ -204,8 +223,47 @@ def _check_point_count(n):
 def _pairwise_mean_g(field, pairs):
     """Mean of G over ordered distinct pairs; +inf when two points coincide.
 
-    G is symmetric, so the log-determinant sum runs over i < j, a block of
-    rows at a time: no block holds more than PAIR_BLOCK determinants."""
+    G is symmetric, so the log-determinant sum runs over i < j.  Up to
+    PAIR_PYTHON_POINTS = 64 points, the most that a CLI example passes, both
+    sums run in Python floats with each Lambda from field.escape: a CLI
+    process then imports no numpy, which would cost it about 0.1 s, while 64
+    points of a power map take about 1 ms (0.2 ms with numpy).  A general
+    map runs its recurrence once per point, so there 64 points take about 9
+    times the numpy time (9 ms against 1 ms at tol 1e-10); no benchmark
+    workload runs that case.  Larger sets are summed with numpy a block of
+    rows at a time, no block holding more than PAIR_BLOCK determinants.  The
+    path depends on the point count alone, and both paths give the same
+    +inf, -inf or NaN where a coordinate is not finite or a modulus
+    overflows."""
+    n = len(pairs)
+    sums = (_python_sums if n <= PAIR_PYTHON_POINTS else _numpy_sums)(
+        field, pairs)
+    if sums is None:
+        return math.inf
+    logs, lam = sums
+    s = -2 * logs
+    s += 2 * (n - 1) * lam
+    s -= n * (n - 1) * field.res_term()
+    return float(s / (n * (n - 1)))
+
+
+def _python_sums(field, pairs):
+    """(sum over i < j of log|x_i y_j - x_j y_i|, sum of Lambda) in Python
+    floats; None when two points coincide."""
+    dets = [xi * yj - xj * yi
+            for j, (xj, yj) in enumerate(pairs) for xi, yi in pairs[:j]]
+    try:
+        mods = list(map(abs, dets))
+    except OverflowError:
+        mods = list(map(_abs, dets))
+    if 0.0 in mods:
+        return None
+    return (math.fsum(map(math.log, mods)),
+            math.fsum(field.escape(x, y) for x, y in pairs))
+
+
+def _numpy_sums(field, pairs):
+    """_python_sums with numpy, a block of rows at a time."""
     import numpy as np
     n = len(pairs)
     x = np.array([p[0] for p in pairs])
@@ -221,12 +279,9 @@ def _pairwise_mean_g(field, pairs):
         del det
         mod[np.tril_indices(b - a, -1, n - a - 1)] = 1.0  # the pairs j <= i
         if np.any(mod == 0):
-            return math.inf
+            return None
         logs += float(np.sum(np.log(mod)))
-    s = -2 * logs
-    s += 2 * (n - 1) * np.sum(field.escape_vec(x, y))
-    s -= n * (n - 1) * field.res_term()
-    return float(s / (n * (n - 1)))
+    return logs, np.sum(field.escape_vec(x, y))
 
 
 def baker_mean_pairing(field: EscapeRateField, points):

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 import arithdyn
 from arithdyn.cli import main, parse_map
 from arithdyn.errors import ResourceLimitError
-from arithdyn.green import EscapeRateField, filled_julia_membership
+from arithdyn.green import (PAIR_POINT_CAP, EscapeRateField,
+                            filled_julia_membership)
 from arithdyn.projective import ProjPointQ
 from arithdyn.torus import TorusPoint, coordinate_height
 
@@ -40,6 +41,13 @@ PSI_12 = 318665857834031151167461
 PSI_12_MAP = json.dumps({"d": 2, "U": [1, 1, 0], "V": [0, PSI_12 - 1, PSI_12]})
 PSI_12_CANHEIGHT = ["canheight", "--map", PSI_12_MAP, "--point",
                     "399165290221/1", "--tol", "1e-6", "--method", "both"]
+
+
+def write_unit_cloud(path):
+    """The README's cloud.csv: the 8th roots of unity."""
+    path.write_text("re,im\n" + "".join(
+        f"{math.cos(2 * math.pi * k / 8)!r},"
+        f"{math.sin(2 * math.pi * k / 8)!r}\n" for k in range(8)))
 
 
 def run_cli(args, capsys):
@@ -373,15 +381,16 @@ def test_import_loads_no_scipy():
 # README examples that load no numpy
 NUMPY_FREE = {"canheight", "preperiodic", "height", "enumerate", "schanuel",
               "goodred", "tdiam", "bilu", "torus", "mahler", "algheight",
-              "rou", "annulus"}
+              "rou", "annulus", "discrepancy", "baker", "energy"}
 
 
 def test_numpy_free_commands_load_no_numpy(tmp_path, capsys, monkeypatch):
     # numpy takes about 0.1 s of every CLI process that imports it; the
-    # commands above (tdiam on a power map) never touch a float array, and
-    # certified roots start from a float pass in Python complex numbers
+    # commands above (tdiam on a power map) never touch a float array,
+    # certified roots start from a float pass in Python complex numbers, and
+    # pairwise means of at most 64 points are summed in Python floats
     examples = [a for a in README_EXAMPLES if a[0] in NUMPY_FREE]
-    assert {a[0] for a in examples} == NUMPY_FREE and len(examples) == 15
+    assert {a[0] for a in examples} == NUMPY_FREE and len(examples) == 18
     julia = next(a for a in README_EXAMPLES if a[0] == "julia-sample")
     code = ("import contextlib, io, json, sys\n"
             "import arithdyn\n"
@@ -395,6 +404,7 @@ def test_numpy_free_commands_load_no_numpy(tmp_path, capsys, monkeypatch):
     src = str(Path(arithdyn.__file__).parents[1])
     child = tmp_path / "child"
     child.mkdir()
+    write_unit_cloud(child / "cloud.csv")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(examples),
                            json.dumps(julia)], capture_output=True, text=True,
                           cwd=child, env=dict(os.environ, PYTHONPATH=src))
@@ -617,12 +627,66 @@ class TestRejections:
         assert "--k" in data["message"]
 
     def test_non_finite_result_is_not_printed(self, tmp_path, capsys):
-        # a repeated point makes the mean pairing +inf, which is not JSON
+        # a repeated point makes the mean pairing +inf, which is not JSON:
+        # the payload reports the mean as null and says why
+        import jsonschema
+        from arithdyn.cli import load_schema
         cloud = tmp_path / "dup.csv"
         cloud.write_text("re,im\n0.5,0\n0.5,0\n-1,0\n")
+        for argv, key in ((["baker", "--points-file"], "mean_pairwise_G"),
+                          (["energy", "--cloud"], "energy")):
+            code, data = run_cli([argv[0], "--map", POWER2, argv[1],
+                                  str(cloud)], capsys)
+            assert code == 0 and data["n"] == 3 and data["duplicates"] is True
+            assert data["statistic"] is None and data[key] is None
+            assert data.get("pass", False) is False
+            jsonschema.validate(data, load_schema(argv[0]))
+        # two points 2e308 apart: the mean is -inf in floats, not a repeat
+        cloud.write_text("1e308,0\n-1e308,0\n")
         code, data = self.rejected(["baker", "--map", POWER2,
                                     "--points-file", str(cloud)], capsys)
-        assert code == 1 and data["error"] == "ValueError"
+        assert code == 1 and data["error"] == "InvalidInputError"
+
+    @pytest.mark.parametrize("text,line", [
+        ("re,im\n1\n2,0\n", 2),
+        ("1,0\n2,0,0\n", 2),
+        ("1,0\n2,nan\n", 2),
+        ("1,0\n\n-inf,0\n", 3),
+        ("x,y\n1e309,0\n1,0\n", 2),
+        ("1,0\n2,x\n", 2),
+        ("1,0\n ,0\n", 2),
+        ("1,0\nre,im\n2,0\n", 2),   # a header only on line 1
+    ], ids=["one-column", "three-columns", "nan", "minus-inf", "1e309",
+            "junk", "blank", "late-header"])
+    @pytest.mark.parametrize("option", ["--cloud", "--points-file"])
+    def test_malformed_cloud_row(self, text, line, option, tmp_path, capsys):
+        cloud = tmp_path / "bad.csv"
+        cloud.write_text(text)
+        command = "energy" if option == "--cloud" else "baker"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy RuntimeWarning
+            code, data = self.rejected([command, "--map", POWER2, option,
+                                        str(cloud)], capsys)
+        assert code == 1 and data["error"] == "InvalidInputError"
+        assert f"line {line}:" in data["message"]
+
+    def test_cloud_csv_error(self, tmp_path, capsys):
+        # a field beyond the csv module's size limit
+        cloud = tmp_path / "big-field.csv"
+        cloud.write_text("1,0\n" + "1" * 200000 + ",0\n")
+        code, data = self.rejected(["energy", "--map", POWER2, "--cloud",
+                                    str(cloud)], capsys)
+        assert code == 1 and data["error"] == "InvalidInputError"
+        assert "line 2:" in data["message"]
+
+    def test_cloud_read_stops_at_the_cap(self, tmp_path, capsys):
+        # the junk after the first point beyond the cap is never read
+        cloud = tmp_path / "big.csv"
+        cloud.write_text("".join(f"{k},0\n" for k in range(PAIR_POINT_CAP
+                                                           + 1)) + "junk\n")
+        code, data = self.rejected(["baker", "--map", POWER2,
+                                    "--points-file", str(cloud)], capsys)
+        assert code == 1 and data["error"] == "ResourceLimitError"
 
     BOUNDARY_CASES = [
         ("baker-no-points", ["baker", "--map", POWER2], 2),
@@ -705,10 +769,7 @@ def _mutate(argv, i, token):
 @pytest.fixture(scope="module")
 def cli_workdir(tmp_path_factory):
     work = tmp_path_factory.mktemp("cli")
-    (work / "cloud.csv").write_text(
-        "re,im\n" + "".join(f"{math.cos(2 * math.pi * k / 8)!r},"
-                            f"{math.sin(2 * math.pi * k / 8)!r}\n"
-                            for k in range(8)))
+    write_unit_cloud(work / "cloud.csv")
     return work
 
 
@@ -794,6 +855,28 @@ def test_generated_argv_ends_in_payload_or_error(data, cli_workdir, capsys,
     argv = _mutate(argv, i, data.draw(st.sampled_from([None] + TOKENS)))
     monkeypatch.chdir(cli_workdir)   # for the files the examples write
     assert_payload_or_error(argv, capsys)
+
+
+CLOUD_TOKENS = st.sampled_from(["0", "1", "-1", "0.5", "2e-300", "1e308",
+                                 "-1e308", "nan", "inf", "-inf", "1e309",
+                                 "x", "", " ", "1/2", "re"]) \
+    | st.floats(-3, 3).map(repr)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(CLOUD_TOKENS, max_size=3), max_size=6),
+       option=st.sampled_from(["--cloud", "--points-file"]))
+def test_cloud_files_end_in_payload_or_error(rows, option, tmp_path, capsys):
+    """energy --cloud and baker --points-file on any file of 0-3 column rows
+    of numbers, non-finite values and junk."""
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("".join(",".join(row) + "\n" for row in rows))
+    command = "energy" if option == "--cloud" else "baker"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy RuntimeWarning
+        assert_payload_or_error([command, "--map", POWER2, option,
+                                 str(cloud)], capsys)
 
 
 SIX_DIGITS = st.integers(-10 ** 6, 10 ** 6)

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithdyn import green
 from arithdyn.algebraic import AlgebraicNumber, cyclotomic_number
 from arithdyn.dynamics import RationalMap
 from arithdyn.errors import (InvalidInputError, ResourceLimitError,
                              UnsupportedScopeError)
-from arithdyn.green import (INF, PAIR_POINT_CAP, POWER_D_CAP,
-                            EmpiricalMeasure, EscapeRateField,
+from arithdyn.green import (INF, PAIR_POINT_CAP, PAIR_PYTHON_POINTS,
+                            POWER_D_CAP, EmpiricalMeasure, EscapeRateField,
                             _pairwise_mean_g, annulus_mass_bound,
                             baker_fit_constant, baker_mean_pairing,
                             bilu_moment_test, discrepancy, discrete_energy,
@@ -668,22 +669,86 @@ def naive_mean_g(field, points):
     return math.fsum(terms) / (n * (n - 1)) - field.res_term()
 
 
-class TestPairwiseMeanG:
-    """The block sum over i < j against a double loop over i != j."""
+def mean_g_by_path(field, pairs, path, monkeypatch):
+    """_pairwise_mean_g(field, pairs) with the sum over i < j taken in
+    Python floats (path 'python') or with numpy (path 'numpy')."""
+    cap = len(pairs) if path == "python" else len(pairs) - 1
+    with monkeypatch.context() as m:
+        m.setattr(green, "PAIR_PYTHON_POINTS", cap)
+        return _pairwise_mean_g(field, pairs)
 
-    @pytest.mark.parametrize("n", [2, 3, 257, 1000])
+
+def same_value(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b,
+                                                                   rel=1e-12)
+
+
+class TestPairwiseMeanG:
+    """The sums over i < j, in Python floats up to PAIR_PYTHON_POINTS points
+    and in numpy row blocks above, against a double loop over i != j."""
+
+    @pytest.mark.parametrize("n", [3, 64, 65])
     @pytest.mark.parametrize("f", [POWER2, Z2P1], ids=["z^2", "z^2+1"])
-    def test_against_the_double_loop(self, f, n):
+    def test_both_paths_agree_off_the_float_range(self, f, n, monkeypatch):
+        field = EscapeRateField(f, tol=1e-10)
+        circle = [(cmath.exp(2j * math.pi * k / n), 1.0) for k in range(n)]
+        big = 1.5e308 * (1 + 1j)   # |big| overflows; abs(big) raises
+        nan = math.nan
+        cases = {   # name: (points, the mean on both paths)
+            "nan": ([(complex(nan, 0), 1.0)] + circle[1:], nan),
+            "nan-y": ([(1.0, complex(0, nan))] + circle[1:], nan),
+            "inf": ([(complex(math.inf, 1), 1.0)] + circle[1:], nan),
+            "modulus-overflow": ([(big, 1.0)] + circle[1:], nan),
+            "scaled-overflow": ([(big, big)] + circle[1:], nan),
+            "det-overflow": ([(1e308, 1.0), (-1e308, 1.0)] + circle[2:],
+                             -math.inf),
+            "repeat-and-nan": ([(complex(nan, 0), 1.0)] + circle[2:]
+                               + [(2 * circle[-1][0], 2.0)], math.inf),
+        }
+        with np.errstate(all="ignore"):
+            for name, (pairs, want) in cases.items():
+                values = [mean_g_by_path(field, pairs, path, monkeypatch)
+                          for path in ("python", "numpy")]
+                assert all(same_value(v, want) for v in values), \
+                    (name, values)
+
+    @pytest.mark.parametrize("f", [POWER2, Z2P1], ids=["z^2", "z^2+1"])
+    def test_escape_beyond_the_float_range(self, f):
+        # abs raises OverflowError where np.abs gives inf; escape follows
+        # escape_vec
+        field = EscapeRateField(f)
+        for x, y in ((1.5e308 * (1 + 1j), 1.0), (1.0, -1.5e308 * (1 - 1j))):
+            with np.errstate(all="ignore"):
+                want = field.escape_vec([x], [y])[0]
+            assert same_value(field.escape(x, y), want)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 100, 257, 1000])
+    @pytest.mark.parametrize("f", [POWER2, Z2P1], ids=["z^2", "z^2+1"])
+    def test_against_the_double_loop(self, f, n, monkeypatch):
         field = EscapeRateField(f, tol=1e-10)
         rng = random.Random(n)
         pts = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                for _ in range(n - 1)] + [INF]
         rng.shuffle(pts)
-        got = baker_mean_pairing(field, pts)
         want = naive_mean_g(field, pts)
-        assert got == pytest.approx(want, rel=1e-12)
+        # every point also in scaled homogeneous coordinates (x s, y s)
+        scales = [complex(rng.uniform(0.1, 10), rng.uniform(-10, 10))
+                  for _ in pts]
+        pairs = [(s * x, s * y)
+                 for s, (x, y) in zip(scales, map(green.as_pair, pts))]
+        with monkeypatch.context() as m:   # the count alone picks the path
+            m.setattr(green, "_numpy_sums" if n <= PAIR_PYTHON_POINTS
+                      else "_python_sums", None)
+            assert baker_mean_pairing(field, pts) == pytest.approx(
+                want, rel=1e-12)
+            assert _pairwise_mean_g(field, pairs) == pytest.approx(
+                want, rel=1e-12)
+        for path in ("python", "numpy"):
+            assert mean_g_by_path(field, pairs, path, monkeypatch) == \
+                pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("n,i,j", [(3, 0, 2), (257, 4, 250),
+    @pytest.mark.parametrize("n,i,j", [(3, 0, 2), (64, 0, 63), (65, 63, 64),
+                                       (257, 4, 250),
                                        (1000, 5, 900), (1000, 700, 999),
                                        (1000, 998, 999)])
     def test_a_duplicate_point_gives_infinity(self, n, i, j):
@@ -700,7 +765,8 @@ class TestPairwiseMeanG:
         import tracemalloc
         field = EscapeRateField(POWER2)
         pts = [cmath.exp(2j * math.pi * k / 2000) for k in range(2000)]
-        baker_mean_pairing(field, pts[:10])  # numpy's one-time state
+        # numpy's one-time state, from a set above the Python-float sum
+        baker_mean_pairing(field, pts[:PAIR_PYTHON_POINTS + 1])
         tracemalloc.start()
         try:
             mean = baker_mean_pairing(field, pts)
