@@ -41,7 +41,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "numutil"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "numutil", "roots"}
 
 __all__ = sorted(_MODULE_OF)
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidInputError, RepeatedRootError
-from .numutil import MP_PRECISION_LOCK, Value, factorize, is_prime, reported
+from .numutil import Value, factorize, is_prime, log_bounds, reported
 from .polyforms import IntPoly, complex_roots, cyclotomic
 
 DEFAULT_TOL = 1e-12
@@ -67,7 +67,7 @@ class MahlerResult(NamedTuple):
     measure_error: float
 
 
-MAHLER_PREC = 128  # bits of the directed products and logs of mahler_measure
+MAHLER_PREC = 128  # bits of the directed products, scale 2^-128 of the logs
 
 
 def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
@@ -75,10 +75,11 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
 
     Each root's factor lies in [max(1, |z| - r), max(1, |z| + r)] for its
     inclusion disk (z, r), with |z| the square root of its exact square.
-    The products of these ends, rounded down and up, enclose the
-    archimedean product and M; libmp logs rounded the same way enclose their
-    logs.  `measure` and `log_measure` each come with the least float that
-    bounds their distance to their enclosure (`numutil.reported`).
+    The products of these ends, rounded down and up with libmp, enclose the
+    archimedean product and M; each end is a dyadic m 2^e, and
+    `numutil.log_bounds` encloses its log on integers.  `measure` and
+    `log_measure` each come with the least float that bounds their distance
+    to their enclosure (`numutil.reported`).
     """
     if P.is_zero():
         raise InvalidInputError("zero polynomial has no Mahler measure")
@@ -90,12 +91,19 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
             "non-squarefree input; take squarefree_part() first so root "
             "multiplicities are explicit")
     from mpmath.libmp import (fone, from_float, from_int, mpf_add, mpf_gt,
-                              mpf_log, mpf_mul, mpf_sqrt, mpf_sub)
+                              mpf_mul, mpf_sqrt, mpf_sub)
     from mpmath.libmp import round_ceiling as UP
     from mpmath.libmp import round_floor as DOWN
 
     def at_least_one(x):
         return x if mpf_gt(x, fone) else fone
+
+    def log_of(x):     # x a positive mpf (sign, man, exp, bc)
+        return log_bounds((), prec, (x[1], x[1]), -x[2])
+
+    def exact(x):
+        _, man, exp, _ = x
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
     zz, radii = P.certified_roots(min(tol * 1e-2, 1e-13))
     prec = MAHLER_PREC
@@ -110,12 +118,12 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
             mpf_sqrt(square, prec, UP), r, prec, UP)), prec, UP)
     lead = from_int(abs(P.lead))
     m_lo, m_hi = mpf_mul(lo, lead, prec, DOWN), mpf_mul(hi, lead, prec, UP)
-    with MP_PRECISION_LOCK:
-        logs = [mpf_log(x, prec, rnd) for x, rnd in
-                ((lo, DOWN), (hi, UP), (m_lo, DOWN), (m_hi, UP))]
-    log_m, err = reported(logs[2], logs[3], prec)
-    measure, measure_err = reported(m_lo, m_hi, prec)
-    return MahlerResult(measure, log_m, err, reported(*logs[:2], prec)[0],
+    arch = log_of(lo)[0], log_of(hi)[1]
+    # for |a_0| = 1 the products with lead are lo and hi themselves
+    log_m, err = reported(*(arch if (m_lo, m_hi) == (lo, hi) else
+                            (log_of(m_lo)[0], log_of(m_hi)[1])))
+    measure, measure_err = reported(exact(m_lo), exact(m_hi))
+    return MahlerResult(measure, log_m, err, reported(*arch)[0],
                         int(P.lead), measure_err)
 
 

@@ -11,11 +11,11 @@ CSV outputs are bit-identical across runs.
 Each subcommand imports the layers it runs in its own body, so a process
 that runs this module as a script (`python -m arithdyn.cli <cmd>`, or the
 `arithdyn` script through `arithdyn.__main__`) loads only those: `height`
-loads `projective`, `polyforms`, `numutil` and `errors`, and `preperiodic`
-loads no mpmath.  `csv` is imported only by the commands that read or write
-CSV, and `build_parser` builds only the subparser of the command that the
-command line names: the other subparsers cost several ms of each process
-and parse nothing.
+loads `projective`, `polyforms`, `numutil` and `errors`, and only the
+commands that find roots or evaluate zeta load mpmath.  `csv` is imported
+only by the commands that read or write CSV, and `build_parser` builds only
+the subparser of the command that the command line names: the other
+subparsers cost several ms of each process and parse nothing.
 """
 
 from __future__ import annotations
@@ -133,13 +133,13 @@ def _dumps(payload):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-HEIGHT_PREC = 80   # bits of the libmp enclosure of log H
+HEIGHT_PREC = 80   # the enclosure of log H is taken at scale 2^-80
 
 
 def _log_error(H, h):
     """The least float >= |h - log H| for a float h."""
     from .numutil import error_around, log_bounds
-    return error_around(h, *log_bounds(((1, H),), HEIGHT_PREC), HEIGHT_PREC)
+    return error_around(h, *log_bounds(((1, H),), HEIGHT_PREC))
 
 
 def cmd_height(args):

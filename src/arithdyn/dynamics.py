@@ -22,11 +22,10 @@ authoritative, the global route is the oracle.  Below the two routes the
 pieces are shared: exact orbits come from `iterate`, and both interval
 computations run one kernel, `_renormalized_orbit`, on fixed-point integer
 intervals at an explicit scale 2^P, renormalized by exact powers of two.
-`_orbit_log_enclosure` closes it with libmp logs of 2, of the bad primes
-and of the final magnitude (`numutil.log_bounds`), each at a given
-precision and rounding direction, and doubles P until the reported error
-(measured from the reported float) meets the tolerance; mpmath's global
-precision is never read or set.  Bounds computed in floats are rounded up.
+`_orbit_log_enclosure` closes it with logs of 2, of the bad primes and of
+the final magnitude enclosed on integers (`numutil.log_bounds`), and doubles
+P until the reported error (measured from the reported float) meets the
+tolerance; no mpmath is imported.  Bounds computed in floats are rounded up.
 """
 
 from __future__ import annotations
@@ -349,9 +348,8 @@ def _orbit_log_enclosure(f: RationalMap, a, b, K, tol, terms=(), tail=0.0,
         except _IntervalBlowup:
             P *= 2
             continue
-        prec = P + 20
-        value, err = reported(*log_bounds(((n, 2), *terms), prec, m, P, tail,
-                                           D), prec)
+        value, err = reported(*log_bounds(((n, 2), *terms), P + 20, m, P,
+                                           tail, D))
         if err <= tol:
             return value, err
         P *= 2
@@ -495,14 +493,9 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
     prec = 117   # 64 bits beyond a double
     lo, hi = log_bounds([(int(c * D), p) for p, (c, _) in finite.items()],
                         prec, D=D)
-    from mpmath.libmp import (from_float, mpf_add, mpf_sub,
-                              round_ceiling as UP, round_floor as DOWN)
-    val = from_float(arch_val)
-    err = from_float(float_up(sum((Fraction(t) for _, t in finite.values()),
-                                  Fraction(arch_err))))
-    total, total_error = reported(
-        mpf_sub(mpf_add(lo, val, prec, DOWN), err, prec, DOWN),
-        mpf_add(mpf_add(hi, val, prec, UP), err, prec, UP), prec)
+    val = Fraction(arch_val)
+    err = sum((Fraction(t) for _, t in finite.values()), Fraction(arch_err))
+    total, total_error = reported(lo + val - err, hi + val + err)
     if total_error > tol:
         raise ResourceLimitError(tol, "the tolerance is below the float "
                                  "resolution of the canonical height")

@@ -350,11 +350,27 @@ class EmpiricalMeasure(Value):
         return zs, at_inf
 
 
+def _same_point(p, q):
+    """Whether the pairs p and q are one point of P^1: x_p y_q = x_q y_p in
+    exact rational arithmetic when all four coordinates are finite, p == q
+    otherwise."""
+    if not all(map(cmath.isfinite, p + q)):
+        return p == q
+    (a, b), (c, d) = (((Fraction(x.real), Fraction(x.imag)),
+                       (Fraction(y.real), Fraction(y.imag))) for x, y in (p, q))
+    # x_p y_q and x_q y_p as (real, imaginary) pairs
+    return (a[0] * d[0] - a[1] * d[1], a[0] * d[1] + a[1] * d[0]) \
+        == (c[0] * b[0] - c[1] * b[1], c[0] * b[1] + c[1] * b[0])
+
+
 def discrete_energy(field: EscapeRateField, nu: EmpiricalMeasure):
-    """Mean off-diagonal pairwise G, the discrete energy of nu."""
+    """Mean off-diagonal pairwise G, the discrete energy of nu.
+
+    InvalidInputError unless nu holds two distinct points of P^1, counted
+    up to scaling: (1, 1) and (2, 2) are one point."""
     _check_point_count(len(nu))
     pts = list(nu.points)
-    if len(set(pts)) < 2:
+    if len(pts) < 2 or all(_same_point(pts[0], p) for p in pts[1:]):
         raise InvalidInputError("energy needs at least two distinct points")
     return _pairwise_mean_g(field, pts)
 

@@ -4,13 +4,14 @@ under a digit cap, Horner's rule,
 factorization, primality, floats rounded upward and directed bounds on
 integer combinations of logarithms.
 
-mpmath is imported by the functions that call `mpmath.libmp` (`log_bounds`,
-`log_up`, `error_around`, `reported`), not by the module: importing mpmath
-costs about 25 ms, and most CLI processes never take a logarithm.  They
-import the package `libmp` alone, which costs a fraction of a microsecond
-once mpmath is loaded, where importing each function by name costs several
-on these hot paths.  The lock is a plain `threading.RLock`, so holding it
-needs no mpmath.
+The logarithms are taken on Python integers (`log_dyadic`): an atanh series
+on fixed-point integers with an error bound counted term by term (Brent &
+Zimmermann, Modern Computer Arithmetic, 2010, 4.4), so no function here
+imports mpmath, which costs about 25 ms of a process, or takes the lock.
+`log_bounds` adds such logs into exact `Fraction` ends, and `reported`
+turns an enclosure into a float and the least float that bounds its
+distance to the enclosure.  The lock is a plain `threading.RLock` that the
+mpmath blocks of the layers above hold; holding it needs no mpmath.
 
 Miller-Rabin on the first 13 prime bases, deterministic below
 psi_13 = 3317044064679887385961981 (about 3.3e24; Sorenson & Webster,
@@ -229,64 +230,177 @@ def factorize(n):
 
 def float_up(q):
     """The least float >= the rational q (an int, Fraction or float)."""
-    x = float(q)           # correctly rounded
-    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+    return _ratio_up(*q.as_integer_ratio())
+
+
+def _ratio_up(n, d):
+    """The least float >= n / d for ints n and d > 0."""
+    x = n / d              # correctly rounded
+    xn, xd = x.as_integer_ratio()
+    return x if xn * d >= n * xd else math.nextafter(x, math.inf)
+
+
+def _atanh_sum(a, w):
+    """(s, n): the sum s of the first n terms of 2^w atanh(a 2^-w), each
+    truncated, for an int a with 0 <= a 2^-w <= 1/3; then
+
+        0 <= 2^w atanh(a 2^-w) - s < 1.5 n.
+
+    With tau = a 2^-w, p_0 = a, p_(j+1) = floor(p_j u 2^-w) for
+    u = floor(a^2 2^-w), s sums floor(p_j / (2j + 1)) over the n terms
+    before the first p_n = 0.  Each step truncates a nonnegative number, so
+    p_j 2^-w <= tau^(2j+1) = x_j, and d_j = x_j - p_j 2^-w has d_0 = 0 and
+
+        d_(j+1) < tau^2 d_j + p_j 2^-w (tau^2 - u 2^-w) + 2^-w
+                < d_j / 9 + (1/3 + 1) 2^-w,   so  d_j < 1.5 2^-w.
+
+    Term j >= 1 then falls short of x_j / (2j + 1) by less than d_j / 3 +
+    2^-w < 1.5 2^-w, term 0 by nothing, and the terms left out, from x_n =
+    d_n on, sum to less than x_n / (3 (1 - tau^2)) < 0.6 2^-w (n >= 1; for
+    n = 0, a = 0 and s = 0 is exact).
+    """
+    u = a * a >> w
+    s = n = 0
+    p = a
+    while p:
+        s += p // (2 * n + 1)
+        p = p * u >> w
+        n += 1
+    return s, n
+
+
+# 2^w log 2 as (L, E) with |L - 2^w log 2| <= E, one entry per w; the value
+# is a function of w alone, so a thread that finds no entry computes and
+# stores the same one, and the dict needs no lock
+_LN2 = {}
+
+
+def _ln2(w):
+    kept = _LN2.get(w)
+    if kept is None:
+        # log 2 = 2 atanh(1/3); floor(2^w / 3) 2^-w lies within 2^-w below
+        # 1/3, where atanh' = 9/8, so 0 <= 2^w log 2 - 2 s < 3 n + 2.25
+        s, n = _atanh_sum((1 << w) // 3, w)
+        kept = _LN2[w] = (2 * s, 3 * n + 3)
+    return kept
+
+
+def log_dyadic(m, e, prec):
+    """Integers (lo, hi) with lo <= 2^prec log(m 2^e) <= hi, for ints m > 0
+    and e; hi - lo is a few units.
+
+    With m 2^e = r 2^k, 1 <= r < 2, the log is log r + k log 2, taken at a
+    working scale 2^-w, w = prec + g, and rounded outward to 2^-prec; the g
+    guard bits grow with |k| and prec, so the bound E below stays under 2^g.
+    Errors in units of 2^-w:
+
+    * y = floor(r 2^w), halved when y >= sqrt(2) 2^w (then k += 1), so
+      rho = y 2^-w lies in [1/sqrt 2, sqrt 2) up to 2^-w and log r (or
+      log(r/2)) exceeds log rho by at most 2^-w / rho < 2 units.
+    * h square roots y <- isqrt(y 2^w), h = floor(sqrt(prec)/4) - 2 (none
+      below 144 bits), shorten the series at high precision: each root
+      stays within 2^-w below the true root, which is at least 0.83, so
+      log rho exceeds 2^h times the log of the last one by less than
+      1.21 (2 + 4 + ... + 2^h) < 2.5 2^h units.
+    * The last rho gives t = (rho - 1)/(rho + 1), |t| < 0.18, truncated
+      to a = floor(|t| 2^w): atanh(|t|) exceeds atanh(a 2^-w) by at most
+      2^-w / (1 - t^2) < 1.04 units, and the n-term sum s of `_atanh_sum`
+      falls short of that by less than 1.5 n.  So 2^w log rho lies within
+      2^h (2 (1.5 n + 1.04) + 2.5) < (3 n + 5) 2^h of sign(t) 2^(h+1) s.
+    * k log 2 comes from `_ln2(w)`: |k| times its bound E_2 = 3 n_2 + 3.
+
+    Altogether |L - 2^w log(m 2^e)| <= E = (3 n + 5) 2^h + 2 + |k| E_2 for
+    L = sign(t) 2^(h+1) s + k L_2.  When m is a power of two, r = 1 and
+    L = k L_2, E = |k| E_2 (so log 1 is exactly 0).  Returns
+    floor((L - E) 2^-g) and ceil((L + E) 2^-g).
+    """
+    if m <= 0:
+        raise ValueError(f"log of {m} * 2^{e}: need m > 0")
+    b = m.bit_length()
+    k = e + b - 1
+    power = m & (m - 1) == 0          # r = 1
+    h = 0 if power else max(math.isqrt(prec) // 4 - 2, 0)
+    g = ((prec + 64) * ((1 << h) + abs(k))).bit_length() + 1
+    w = prec + g
+    if power:
+        L = E = 0
+    else:
+        shift = w + 1 - b
+        y = m << shift if shift >= 0 else m >> -shift
+        if (y * y).bit_length() > 2 * w + 1:    # y >= sqrt(2) 2^w
+            y >>= 1
+            k += 1
+        for _ in range(h):
+            y = math.isqrt(y << w)
+        one = 1 << w
+        s, n = _atanh_sum((abs(y - one) << w) // (y + one), w)
+        L = (s if y >= one else -s) << (h + 1)
+        E = ((3 * n + 5) << h) + 2
+    if k:
+        L2, E2 = _ln2(w)
+        L += k * L2
+        E += abs(k) * E2
+    return (L - E) >> g, -(-(L + E) >> g)
 
 
 def log_bounds(terms, prec, m=(1, 1), P=0, tail=0.0, D=1):
-    """libmp mpfs (lo, hi), rounded outward at prec bits, bounding
+    """Fractions (lo, hi) bounding
 
         (sum n_q log q + log x + [-tail, tail]) / D,   x in [m_lo, m_hi] / 2^P,
 
-    for integer pairs (n_q, q > 0) in `terms` and integers 0 < m_lo <= m_hi.
-
-    libmp keeps log 2 in a module-level cache that it grows without
-    synchronization (a reader can pair the old cache precision with the new
-    value), so the logs are taken under MP_PRECISION_LOCK, which every other
-    mpmath block of arithdyn holds too.
+    for integer pairs (n_q, q > 0) in `terms`, integers 0 < m_lo <= m_hi,
+    any integer P, a rational tail >= 0 and an integer D > 0.  Each log is
+    enclosed by `log_dyadic` at scale 2^-prec; the ends are sums of those
+    integers and of ceil(tail 2^prec), divided by D 2^prec once at the end,
+    so each lies within a few units of 2^-prec times (1 + sum |n_q|) / D of
+    the exact interval.
     """
-    from mpmath import libmp
-    UP, DOWN = libmp.round_ceiling, libmp.round_floor
-    t = libmp.from_float(tail)
-    with MP_PRECISION_LOCK:
-        lo = libmp.mpf_sub(libmp.mpf_log(libmp.from_man_exp(m[0], -P), prec,
-                                         DOWN), t, prec, DOWN)
-        hi = libmp.mpf_add(libmp.mpf_log(libmp.from_man_exp(m[1], -P), prec,
-                                         UP), t, prec, UP)
-        for nq, q in terms:
-            n, q = libmp.from_int(nq), libmp.from_int(q)
-            logs = libmp.mpf_log(q, prec, DOWN), libmp.mpf_log(q, prec, UP)
-            lo = libmp.mpf_add(lo, libmp.mpf_mul(n, logs[nq < 0], prec, DOWN),
-                               prec, DOWN)
-            hi = libmp.mpf_add(hi, libmp.mpf_mul(n, logs[nq >= 0], prec, UP),
-                               prec, UP)
-    den = libmp.from_int(D)
-    return libmp.mpf_div(lo, den, prec, DOWN), libmp.mpf_div(hi, den, prec, UP)
+    lo, hi = log_dyadic(m[0], -P, prec)
+    if m[1] != m[0]:
+        hi = log_dyadic(m[1], -P, prec)[1]
+    for n, q in terms:
+        q_lo, q_hi = log_dyadic(q, 0, prec)
+        if n > 0:
+            lo, hi = lo + n * q_lo, hi + n * q_hi
+        else:
+            lo, hi = lo + n * q_hi, hi + n * q_lo
+    num, den = tail.as_integer_ratio()
+    t = -((-num << prec) // den)      # ceil(tail 2^prec)
+    den = D << prec
+    return Fraction(lo - t, den), Fraction(hi + t, den)
+
+
+LOG_UP_PREC = 64   # scale 2^-64 of the logs behind log_up
 
 
 def log_up(q):
-    """A float >= log q for a rational q > 0, from q rounded up to 64 bits."""
-    from mpmath import libmp
+    """A float >= log q for a rational q > 0: the upper end of log of the
+    numerator minus the lower end of log of the denominator, each from
+    `log_dyadic` at scale 2^-LOG_UP_PREC, rounded up."""
     q = Fraction(q)
-    _, man, exp, _ = libmp.mpf_div(libmp.from_int(q.numerator),
-                                   libmp.from_int(q.denominator), 64,
-                                   libmp.round_ceiling)
-    _, hi = log_bounds((), 64, (man, man), -exp)
-    return libmp.to_float(hi, rnd=libmp.round_ceiling)
+    hi = log_dyadic(q.numerator, 0, LOG_UP_PREC)[1] \
+        - log_dyadic(q.denominator, 0, LOG_UP_PREC)[0]
+    return _ratio_up(hi, 1 << LOG_UP_PREC)
 
 
-def error_around(v, lo, hi, prec):
-    """The least float >= max(hi - v, v - lo): the libmp interval [lo, hi]
-    lies in the float v +- it."""
-    from mpmath import libmp
-    UP, v_mpf = libmp.round_ceiling, libmp.from_float(v)
-    return max(libmp.to_float(libmp.mpf_sub(hi, v_mpf, prec, UP), rnd=UP),
-               libmp.to_float(libmp.mpf_sub(v_mpf, lo, prec, UP), rnd=UP))
+def error_around(v, lo, hi):
+    """The least float >= max(hi - v, v - lo): the rational interval
+    [lo, hi] lies in the float v +- it."""
+    # on numerators and denominators: Fraction arithmetic would reduce
+    # each difference by a gcd of integers of hundreds of bits
+    a, b = v.as_integer_ratio()
+    up = hi.numerator * b - a * hi.denominator, hi.denominator * b
+    down = a * lo.denominator - lo.numerator * b, lo.denominator * b
+    return _ratio_up(*(up if up[0] * down[1] >= down[0] * up[1] else down))
 
 
-def reported(lo, hi, prec):
-    """(v, e): v the float (lo + hi)/2 rounds to and e = error_around(v)."""
-    from mpmath import libmp
-    NEAREST = libmp.round_nearest
-    v = libmp.to_float(libmp.mpf_add(lo, hi, prec, NEAREST), rnd=NEAREST) / 2
-    return v, error_around(v, lo, hi, prec)
+def reported(lo, hi):
+    """(v, e) for the rational interval [lo, hi]: v the float nearest its
+    midpoint and e = error_around(v); (+-inf, inf) when the midpoint lies
+    beyond the float range."""
+    n = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+    try:
+        v = n / (2 * lo.denominator * hi.denominator)   # correctly rounded
+    except OverflowError:
+        return (math.inf if n > 0 else -math.inf), math.inf
+    return v, error_around(v, lo, hi)

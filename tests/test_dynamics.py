@@ -537,11 +537,6 @@ class TestReportedEnclosures:
     midpoint's neighbourhood: the float value is rounded, and its error is
     measured from that float."""
 
-    @staticmethod
-    def exact(mpf):
-        from mpmath.libmp import to_rational
-        return Fraction(*to_rational(mpf))
-
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_escape_rate_error_covers_the_enclosure(self, tol, monkeypatch):
         import arithdyn.dynamics as dyn
@@ -558,7 +553,8 @@ class TestReportedEnclosures:
             f = random_map(rng, d=rng.randint(2, 4), cmax=9)
             a, b = rng.randint(-40, 40), rng.randint(1, 40)
             val, err = dyn.escape_rate_exact_pair(f, a, b, tol)
-            lo, hi = map(self.exact, seen[-1])   # the accepted rung
+            lo, hi = seen[-1]   # the accepted rung, exact
+            assert type(lo) is type(hi) is Fraction and lo <= hi
             assert err <= tol
             assert Fraction(val) - Fraction(err) <= lo
             assert hi <= Fraction(val) + Fraction(err)

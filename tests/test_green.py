@@ -821,6 +821,27 @@ class TestEnergy:
         with pytest.raises(InvalidInputError):
             discrete_energy(field, EmpiricalMeasure([1 + 0j, 1 + 0j]))
 
+    @pytest.mark.parametrize("points", [
+        [(1, 1), (2, 2)],
+        [(1j, 2), (2j, 4), (-0.5j, -1)],
+        [(3, 0), (-7.5, 0)],                      # [1:0] twice
+        [0.1, (0.2, 2), (0.1 * 2 ** -40, 2 ** -40)],
+    ], ids=["real-scaling", "complex-scaling", "infinity", "dyadic-scalings"])
+    def test_one_point_in_several_scalings_is_one_point(self, points):
+        # distinct points are counted up to scaling, exactly
+        field = EscapeRateField(POWER2)
+        with pytest.raises(InvalidInputError, match="two distinct points"):
+            discrete_energy(field, EmpiricalMeasure(points))
+
+    def test_points_one_ulp_apart_are_distinct(self):
+        field = EscapeRateField(POWER2)
+        x = math.nextafter(0.2, 1)
+        nu = EmpiricalMeasure([(0.1, 1), (x, 2)])
+        assert discrete_energy(field, nu) > 30
+        # the pair [1:1], [2:2] with a third point: one pair coincides
+        assert discrete_energy(field, EmpiricalMeasure(
+            [(1, 1), (2, 2), (3, 1)])) == math.inf
+
 
 class TestBiluMoments:
     def test_primitive_prime_first_moment(self):

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from arithdyn.errors import InvalidInputError, RepeatedRootError
 from arithdyn.numutil import float_up
 from arithdyn.polyforms import (BinaryForm, IntPoly, PadicValuation,
-                                _bareiss, _float_start, _form_add,
-                                _form_mul, certified_roots_mp, complex_roots,
+                                _bareiss, _form_add, _form_mul,
+                                certified_roots_mp, complex_roots,
                                 cyclotomic, discriminant, euler_phi,
                                 nullstellensatz_cofactors, resultant,
                                 resultant_univariate, vp)
+from arithdyn.roots import _float_start
 
 
 def det_by_permutations(mat):
@@ -453,8 +454,8 @@ class TestRootStart:
     def test_float_pass_hands_over_spoilt_iterates(self, spoil, monkeypatch):
         # such float iterates would divide by zero in the mp pass; it starts
         # from the Cauchy circle instead
-        import arithdyn.polyforms as pf
-        aberth = pf._aberth
+        import arithdyn.roots as roots
+        aberth = roots._aberth
 
         def spoilt(cs, zz, eps, stall):
             values = aberth(cs, zz, eps, stall)
@@ -462,7 +463,7 @@ class TestRootStart:
                 zz[:] = spoil(zz)
             return values
 
-        monkeypatch.setattr(pf, "_aberth", spoilt)
+        monkeypatch.setattr(roots, "_aberth", spoilt)
         P = IntPoly((-2, 0, 1))
         assert _float_start(_monic(P)) is None
         zz, radii = certified_roots_mp([Fraction(c) for c in P.coeffs], 1e-12)

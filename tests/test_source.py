@@ -96,13 +96,23 @@ def f():
 
 
 def _is_libmp_log(node):
-    return isinstance(node, ast.Call) and _name(node.func) == "mpf_log"
+    """A call of an mpmath function that grows a module-level cache: libmp's
+    logs and exponentials, and mpmath's log, exp and zeta."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name):
+        return node.func.id in ("mpf_log", "mpf_exp")
+    return isinstance(node.func, ast.Attribute) \
+        and _name(node.func.value) in ("mpm", "mpmath", "libmp") \
+        and node.func.attr in ("mpf_log", "mpf_exp", "log", "exp", "zeta")
 
 
 def test_libmp_logs_hold_the_lock():
     # libmp grows its cache of log 2 without synchronization: a log taken
     # while another thread grows it can pair the old cache precision with
-    # the new value and come out scaled by a power of two
+    # the new value and come out scaled by a power of two; zeta keeps its
+    # coefficients the same way.  The library's logs are taken on integers
+    # (numutil.log_dyadic), so what is left is zeta, under the lock
     locked, unlocked = [], []
     for p in SOURCES:
         tree = ast.parse(p.read_text(), filename=str(p))
@@ -119,44 +129,53 @@ def f(x):
     a = mpf_log(x, 64, DOWN)
     with MP_PRECISION_LOCK:
         b = libmp.mpf_log(x, 64, UP)
-    return math.log(a)
+        c = mpm.zeta(3)
+    return math.log(a) + mpm.zeta(2)
 """
-    assert _precision_changes(ast.parse(src), _is_libmp_log) == ([5], [3])
+    assert _precision_changes(ast.parse(src), _is_libmp_log) == ([5, 6],
+                                                                 [3, 7])
+
+
+def _imported(tree):
+    """Module names that a module's import statements name."""
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names]
+    return modules + [n.module for n in ast.walk(tree)
+                      if isinstance(n, ast.ImportFrom) and n.module]
 
 
 def test_dynamics_leaves_mpmath_precision_alone():
     # the canonical-height kernels run on fixed-point integer intervals and
-    # pass precision and rounding direction to mpmath.libmp explicitly, so
-    # dynamics needs neither mpmath's global contexts nor the lock (its
-    # libmp logs go through numutil.log_bounds, which holds it)
-    path = next(p for p in SOURCES if p.name == "dynamics.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert _precision_changes(tree) == ([], [])
-    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
-               for a in n.names]
-    modules += [n.module for n in ast.walk(tree)
-                if isinstance(n, ast.ImportFrom) and n.module]
-    assert [m for m in modules if m.startswith("mpmath")] \
-        and all(m == "mpmath.libmp" for m in modules if m.startswith("mpmath"))
-    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    assert not attrs & {"iv", "mp", "workdps", "workprec", "MP_PRECISION_LOCK"}
-    assert not names & {"mpm", "mpmath", "MP_PRECISION_LOCK"}
+    # numutil closes them with logs taken on integers, so neither module
+    # (nor cli) imports mpmath, and dynamics needs neither mpmath's global
+    # contexts nor the lock
+    for name in ("dynamics.py", "numutil.py", "cli.py"):
+        path = next(p for p in SOURCES if p.name == name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert _precision_changes(tree) == ([], []), name
+        assert not [m for m in _imported(tree)
+                    if m.split(".")[0] == "mpmath"], name
+        attrs = {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert not attrs & {"iv", "mp", "workdps", "workprec", "libmp"}, name
+        assert not names & {"mpm", "mpmath", "libmp"}, name
+        if name != "numutil.py":    # numutil defines the lock
+            assert "MP_PRECISION_LOCK" not in attrs | names, name
 
 
 def test_certified_root_path_loads_no_numpy():
     # the float pass runs on Python complex numbers, and Mahler measures
-    # close their sums with libmp, so neither module imports numpy or sets
-    # mpmath's precision outside the root finder
+    # close their products with libmp, so no module of the root path
+    # imports numpy or sets mpmath's precision outside the root finder
     trees = {p.name: ast.parse(p.read_text(), filename=str(p))
-             for p in SOURCES if p.name in ("polyforms.py", "algebraic.py")}
+             for p in SOURCES
+             if p.name in ("polyforms.py", "roots.py", "algebraic.py")}
+    assert len(trees) == 3
     for tree in trees.values():
-        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
-                    for a in n.names]
-        imported += [n.module for n in ast.walk(tree)
-                     if isinstance(n, ast.ImportFrom) and n.module]
-        assert not [m for m in imported if m.split(".")[0] == "numpy"]
+        assert not [m for m in _imported(tree) if m.split(".")[0] == "numpy"]
     assert _precision_changes(trees["algebraic.py"]) == ([], [])
+    assert _precision_changes(trees["polyforms.py"]) == ([], [])
 
 
 def test_no_module_imports_dataclasses():

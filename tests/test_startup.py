@@ -26,37 +26,38 @@ ALGEBRAIC = EXACT | {"algebraic"}
 GREEN = DYNAMICS | {"algebraic", "green"}   # with maps
 MEASURES = ALGEBRAIC | {"green"}             # without maps
 TORUS = ALGEBRAIC | {"torus"}
+ROOTS = ALGEBRAIC | {"roots"}                # finds certified roots
 
 # (label, argv, arithdyn modules besides the package and cli, mpmath loaded):
-# README's CLI examples, then five inputs that must be rejected; 15 of the 24
+# README's CLI examples, then five inputs that must be rejected; 19 of the 24
 # load no mpmath
 EXAMPLES = [
     ("canheight", ["canheight", "--map", Z2P1, "--point", "0/1", "--tol",
-                   "1e-8", "--method", "both"], DYNAMICS, True),
+                   "1e-8", "--method", "both"], DYNAMICS, False),
     ("preperiodic", ["preperiodic", "--map", POWER2], DYNAMICS, False),
     ("mahler", ["mahler", "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1"],
-     ALGEBRAIC, True),
-    ("height", ["height", "--point", "3:5:-7"], PROJECTIVE, True),
+     ROOTS, True),
+    ("height", ["height", "--point", "3:5:-7"], PROJECTIVE, False),
     ("enumerate", ["enumerate", "--k", "1", "--B", "2.3", "--out",
-                   "points.csv"], PROJECTIVE, True),
+                   "points.csv"], PROJECTIVE, False),
     ("schanuel", ["schanuel", "--k", "1", "--B", "1000"], PROJECTIVE, True),
-    ("algheight", ["algheight", "--poly=-2,0,0,1"], ALGEBRAIC, True),
+    ("algheight", ["algheight", "--poly=-2,0,0,1"], ROOTS, True),
     ("rou", ["rou", "--poly", "1,0,-1,0,1"], ALGEBRAIC, False),
     ("goodred", ["goodred", "--map", '{"d":2,"U":[1,0,0],"V":[0,0,2]}'],
      DYNAMICS, False),
     ("julia-sample", ["julia-sample", "--map", Z2P1, "--out", "grid.csv"],
-     GREEN, True),
+     GREEN, False),
     ("tdiam", ["tdiam", "--map", POWER2, "--n", "10"], GREEN, False),
     ("discrepancy", ["discrepancy", "--poly=-2,0,1", "--power-d", "2"],
-     GREEN, True),
+     GREEN | {"roots"}, True),
     ("baker", ["baker", "--map", POWER2, "--roots-of-unity", "64"], GREEN,
      False),
     ("bilu", ["bilu", "--family", "primitive:101", "--exponents",
               "1,2,3,4,5", "--out", "moments.csv"], MEASURES, False),
     ("energy", ["energy", "--map", POWER2, "--cloud", "cloud.csv"], GREEN,
      False),
-    ("annulus", ["annulus", "--poly=-2,0,0,1", "--r", "1.5"], MEASURES,
-     True),
+    ("annulus", ["annulus", "--poly=-2,0,0,1", "--r", "1.5"],
+     MEASURES | {"roots"}, True),
     ("torus-height", ["torus", "height", "--coords",
                       '[{"rational":"2"},{"rational":"1/2"}]'], TORUS, False),
     ("torus-push", ["torus", "push", "--coords",
