@@ -124,7 +124,7 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
                             (log_of(m_lo)[0], log_of(m_hi)[1])))
     measure, measure_err = reported(exact(m_lo), exact(m_hi))
     return MahlerResult(measure, log_m, err, reported(*arch)[0],
-                        int(P.lead), measure_err)
+                        P.lead, measure_err)
 
 
 def height_algebraic(xi: AlgebraicNumber, tol=DEFAULT_TOL):

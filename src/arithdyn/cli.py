@@ -204,7 +204,7 @@ def cmd_algheight(args):
     # the division rounds: add its error, exactly, to error_bound / d
     err = float_up(Fraction(res.error_bound) / d
                    + abs(Fraction(h) - Fraction(res.log_measure) / d))
-    return {"minpoly": [int(c) for c in xi.minpoly.coeffs],
+    return {"minpoly": list(xi.minpoly.coeffs),
             "height": h,
             "mahler": res.measure if math.isfinite(res.measure) else None,
             "places": {str(k): v for k, v in places.items()},
@@ -435,14 +435,21 @@ def cmd_energy(args):
 
 
 def cmd_annulus(args):
-    from .algebraic import AlgebraicNumber
+    from .algebraic import AlgebraicNumber, mahler_measure
     from .green import annulus_mass_bound
+    from .numutil import log_dyadic
     xi = AlgebraicNumber(parse_poly(args.poly))
     obs, bound = annulus_mass_bound(xi, args.r)
+    # outside / d <= 2 max(log M, 0) / (d log r), times d 2^64 on exact
+    # rationals: the count, the upper end of log M, an integer <= 2^64 log r
+    m = mahler_measure(xi.minpoly, 1e-10)
+    num, den = args.r.as_integer_ratio()
+    ok = (Fraction(obs).limit_denominator(xi.degree) * xi.degree
+          * log_dyadic(num, 1 - den.bit_length(), 64)[0]
+          <= max(Fraction(m.log_measure) + Fraction(m.error_bound), 0) * 2 ** 65)
     return {"test": "annulus", "n": xi.degree, "r": args.r,
             "statistic": obs, "observed_outside_mass": obs, "bound": bound,
-            "pass": obs <= bound + 1e-12,
-            "satisfied": obs <= bound + 1e-12}
+            "pass": ok, "satisfied": ok}
 
 
 def _torus_coord_ok(item):
@@ -479,8 +486,7 @@ def cmd_torus(args):
         exps = [int(t) for t in args.exp.split(",")]
         res = monomial_pushforward(x, exps)
         return {"rational": None if res.rational is None else str(res.rational),
-                "minpoly": None if res.minpoly is None
-                else [int(c) for c in res.minpoly.coeffs],
+                "minpoly": res.minpoly and list(res.minpoly.coeffs),
                 "height": res.height, "bound": res.bound,
                 "cloud_size": None if res.cloud is None else len(res.cloud)}
     if args.torus_op == "subadd":

@@ -430,8 +430,8 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8):
                                  D=d ** n_star)
     if found is not None:
         value, err = found
-        return GlobalHeightResult(value, float_up(Fraction(trunc) + err),
-                                  n_star)
+        return GlobalHeightResult(
+            value, float_up(Fraction(trunc) + Fraction(err)), n_star)
     return GlobalHeightResult(end.height() / d ** k,
                               float_up(Fraction(c_max) / (d ** k * (d - 1))),
                               k, budget_exhausted=True,

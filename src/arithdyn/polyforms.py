@@ -1,16 +1,16 @@
-"""Exact integer/rational polynomial arithmetic and the entry points of the
-certified root finder.
+"""Exact integer polynomial arithmetic and the entry points of the certified
+root finder.
 
-Univariate polynomials are dense coefficient tuples, low degree first, over
-Python ints or Fractions.  Binary forms of degree d store the coefficient of
-X^(d-i) Y^i at index i.  Resultants are Sylvester-map determinants and the
-Nullstellensatz cofactors adjugate columns of the same matrix, both from one
-fraction-free (Bareiss) elimination, so every resultant and cofactor is an
-exact integer.  `certified_roots_mp` and `complex_roots` hand their work to
-the module `roots` (Aberth-Ehrlich iteration and Weierstrass inclusion
-disks), which they import on the first solve: resultants, cofactors and the
-other exact arithmetic load neither it, nor numpy, nor mpmath.  The
-per-instance memo and Horner's rule come from `numutil`, the layer below.
+Univariate polynomials are dense tuples of ints, low degree first; their
+gcds, resultants and discriminants come from one subresultant sequence over
+Z, whose every division is exact.  Binary forms of degree d store the
+coefficient of X^(d-i) Y^i at index i; their resultant and Nullstellensatz
+cofactors are the determinant and adjugate columns of the Sylvester matrix,
+from one fraction-free (Bareiss) elimination.  `certified_roots_mp` and
+`complex_roots` hand their work to the module `roots` (Aberth-Ehrlich
+iteration and Weierstrass inclusion disks), imported on the first solve: the
+exact arithmetic loads neither it, nor numpy, nor mpmath.  The per-instance
+memo and Horner's rule come from `numutil`, the layer below.
 """
 
 from __future__ import annotations
@@ -36,20 +36,23 @@ def _trim(coeffs):
 
 
 class IntPoly(Value):
-    """Dense univariate polynomial, coefficients low degree first.
+    """Dense univariate polynomial over Z, coefficients low degree first.
 
-    Coefficients may be ints or Fractions; exact constructors normalize
-    nothing beyond trimming trailing zeros, so `primitive()` must be called
-    where content-1 / positive-leading-coefficient form is required.  The
-    squarefree test and the certified roots, once computed, are kept on the
-    instance, outside `_fields`: equality, hashing and repr depend on the
-    coefficients only.
+    Coefficients are ints (InvalidInputError otherwise); exact constructors
+    normalize nothing beyond trimming trailing zeros, so `primitive()` must
+    be called where content-1 / positive-leading-coefficient form is
+    required.  The squarefree test and the certified roots, once computed,
+    are kept on the instance, outside `_fields`: equality, hashing and repr
+    depend on the coefficients only.
     """
 
     _fields = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        coeffs = _trim(coeffs)
+        if not all(isinstance(c, int) for c in coeffs):
+            raise InvalidInputError("IntPoly coefficients must be integers")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self):
@@ -75,7 +78,7 @@ class IntPoly(Value):
         return IntPoly([self[k] + other[k] for k in range(n)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return IntPoly(())
@@ -93,82 +96,47 @@ class IntPoly(Value):
         return IntPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def content(self):
-        """gcd of the coefficients (of numerators/denominators for Fractions)."""
-        if self.is_zero():
-            return 0
-        if any(isinstance(c, Fraction) for c in self.coeffs):
-            den = math.lcm(*(Fraction(c).denominator for c in self.coeffs))
-            num = math.gcd(*(int(Fraction(c) * den) for c in self.coeffs))
-            return Fraction(num, den)
-        return math.gcd(*(abs(int(c)) for c in self.coeffs))
+        """gcd of the coefficients; 0 for the zero polynomial."""
+        return math.gcd(*self.coeffs)
 
     def primitive(self):
         """Content-1 integer polynomial with positive leading coefficient.
 
         Returns `self` when it already is one, so its kept roots carry over.
         """
-        if self.is_zero():
-            return self
-        if (all(type(c) is int for c in self.coeffs) and self.coeffs[-1] > 0
-                and math.gcd(*self.coeffs) == 1):
-            return self
         c = self.content()
-        cs = [Fraction(x) / c for x in self.coeffs]
-        if any(f.denominator != 1 for f in cs):
-            raise RuntimeError("content does not divide every coefficient")
-        cs = [int(f) for f in cs]
-        if cs[-1] < 0:
-            cs = [-x for x in cs]
-        return IntPoly(cs)
-
-    def divmod(self, other):
-        """Exact division with remainder over Q."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(self.degree - other.degree + 1, 1)
-        r = [Fraction(c) for c in self.coeffs]
-        db, lb = other.degree, Fraction(other.lead)
-        while len(r) - 1 >= db and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            t = r[-1] / lb
-            k = len(r) - 1 - db
-            q[k] = t
-            for i, b in enumerate(other.coeffs):
-                r[k + i] -= t * Fraction(b)
-        return IntPoly(q), IntPoly(r)
+        if self.coeffs and self.coeffs[-1] < 0:
+            c = -c
+        return self if c in (0, 1) else IntPoly([x // c for x in self.coeffs])
 
     def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise InvalidInputError("division is not exact")
-        return IntPoly([int(c) if Fraction(c).denominator == 1 else c
-                        for c in q.coeffs])
+        """The quotient in Z[X], by integer long division; by Gauss's lemma
+        it exists when a primitive `other` divides self over Q.  Raises
+        InvalidInputError when other does not divide self in Z[X], even
+        where it does over Q (2X + 4 by 4)."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        r, b, q = list(self.coeffs), other.coeffs, []
+        for k in range(len(r) - len(b), -1, -1):    # the X^k term of q
+            c, m = divmod(r[k + len(b) - 1], b[-1])
+            if m:
+                break
+            q.append(c)
+            r[k:k + len(b)] = [x - c * y for x, y in zip(r[k:], b)]
+        if any(r):
+            raise InvalidInputError("division is not exact in Z[X]")
+        return IntPoly(q[::-1])
 
     def gcd(self, other):
-        """Monic gcd over Q, returned as a primitive integer polynomial."""
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        den = math.lcm(*(Fraction(c).denominator for c in a.coeffs))
-        return IntPoly([int(Fraction(c) * den) for c in a.coeffs]).primitive()
+        """The primitive part of the last nonzero subresultant remainder."""
+        return IntPoly(_subresultants(self.coeffs, other.coeffs)[1]).primitive()
 
     @kept_on_instance
     def is_squarefree(self):
-        if self.degree <= 0:
-            return not self.is_zero()
         return self.gcd(self.derivative()).degree == 0
 
     def squarefree_part(self):
-        g = self.gcd(self.derivative())
-        if g.degree == 0:
-            return self.primitive()
-        return self.exact_div(g).primitive()
+        return self.exact_div(self.gcd(self.derivative())).primitive()
 
     def certified_roots(self, tol):
         """(mpc values, float radii) of `certified_roots_mp`, kept on self.
@@ -252,7 +220,6 @@ class BinaryForm(Value):
         if F.degree != G.degree:
             raise InvalidInputError("substituted forms must share a degree")
         d, e = self.degree, F.degree
-        zero = BinaryForm(0, (0,))
         acc = None
         fp = [BinaryForm(0, (1,))]
         gp = [BinaryForm(0, (1,))]
@@ -262,8 +229,6 @@ class BinaryForm(Value):
         for i, c in enumerate(self.coeffs):
             term = _form_scale(_form_mul(fp[d - i], gp[i]), c)
             acc = term if acc is None else _form_add(acc, term)
-        if acc.degree != d * e:
-            acc = BinaryForm(d * e, tuple(acc.coeffs) + (0,) * (d * e - acc.degree))
         return acc
 
     def dehomogenized(self):
@@ -331,21 +296,15 @@ def _bareiss(rows):
 
 
 def _sylvester(p, q):
-    """Sylvester matrix of high-first coefficient lists of degrees m and n.
-
-    Row j holds the coefficient of X^(m+n-1-j) (times Y^j for forms);
-    columns 0..n-1 hold the shifts of p, columns n..n+m-1 those of q.  For
-    forms U, V of degree d this is the matrix of (A, B) -> A U + B V on
-    pairs of degree d-1, monomial bases.
-    """
-    m, n = len(p) - 1, len(q) - 1
-    mat = [[0] * (m + n) for _ in range(m + n)]
-    for i in range(n):
-        for k, c in enumerate(p):
-            mat[i + k][i] = c
-    for i in range(m):
-        for k, c in enumerate(q):
-            mat[i + k][n + i] = c
+    """Matrix of (A, B) -> A U + B V on pairs of forms of degree d-1, for the
+    coefficients p, q of forms U, V of degree d, monomial bases: row j holds
+    the coefficient of X^(2d-1-j) Y^j, columns i and d + i the shifts of p
+    and q by i."""
+    d = len(p) - 1
+    mat = [[0] * (2 * d) for _ in range(2 * d)]
+    for i in range(d):
+        for k in range(d + 1):
+            mat[i + k][i], mat[i + k][d + i] = p[k], q[k]
     return mat
 
 
@@ -380,16 +339,49 @@ def nullstellensatz_cofactors(U, V):
     return ax, bx, ay, by, r
 
 
+def _prem(a, b):
+    """The pseudo-remainder lead(b)^(deg a - deg b + 1) a mod b, for lists
+    of ints low degree first with deg a >= deg b >= 1."""
+    r = list(a)
+    for _ in range(len(a) - len(b) + 1):
+        c, off = r.pop(), len(r) - len(b) + 1
+        r[:off] = [x * b[-1] for x in r[:off]]
+        r[off:] = [x * b[-1] - c * y for x, y in zip(r[off:], b)]
+    return list(_trim(r))
+
+
+def _subresultants(a, b):
+    """(Res(a, b), last nonzero remainder) of the subresultant PRS of int
+    tuples a, b, low degree first; the remainder is a multiple of gcd(a, b).
+    Each pseudo-remainder divides exactly by g h^delta; s and t carry the
+    signs of the swaps and the contents (Collins, J. ACM 14, 1967; Brown &
+    Traub, J. ACM 18, 1971; Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 3.3.7)."""
+    if not a or not b:
+        return 0, a or b
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    A, B = [x // ca for x in a], [x // cb for x in b]
+    s = 1
+    if len(A) < len(B):
+        A, B, s = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
+    g = h = 1
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        s = -s if (len(A) - 1) * (len(B) - 1) % 2 else s
+        div = g * h ** delta
+        A, B = B, [x // div for x in _prem(A, B)]
+        g = A[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    dA = len(A) - 1
+    if dA:
+        h = (B[-1] if B else 0) ** dA // h ** (dA - 1)
+    return s * t * h, tuple(B or A)
+
+
 def resultant_univariate(P, Q):
-    """Classical Sylvester resultant of two IntPolys (exact integer)."""
-    m, n = P.degree, Q.degree
-    if m < 0 or n < 0:
-        return 0
-    if m == 0:
-        return P.lead ** n
-    if n == 0:
-        return Q.lead ** m
-    return _bareiss(_sylvester(P.coeffs[::-1], Q.coeffs[::-1]))[0]
+    """Classical Sylvester resultant of two IntPolys, by subresultants."""
+    return _subresultants(P.coeffs, Q.coeffs)[0]
 
 
 def discriminant(P):
@@ -397,10 +389,8 @@ def discriminant(P):
     d = P.degree
     if d < 2:
         raise InvalidInputError("discriminant needs degree >= 2")
-    res = resultant_univariate(P, P.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    val = Fraction(sign * res, P.lead)
-    return int(val) if val.denominator == 1 else val
+    return sign * resultant_univariate(P, P.derivative()) // P.lead
 
 
 # ---------------------------------------------------------------------------

@@ -71,16 +71,20 @@ def torus_height(x: TorusPoint):
 def _resultant_in_x(P, deg, q_at):
     """Res_y(P(y), q_at(x)(y)) as a polynomial in x of known degree `deg`.
 
-    Evaluated at x = 0..deg and interpolated by Newton divided differences.
+    Evaluated at x = 0..deg and interpolated by Newton divided differences
+    in Fractions; the resultant lies in Z[x].
     """
     c = [Fraction(resultant_univariate(P, q_at(x))) for x in range(deg + 1)]
     for k in range(1, deg + 1):
         for i in range(deg, k - 1, -1):
             c[i] = (c[i] - c[i - 1]) / k
-    poly = IntPoly((c[deg],))
-    for i in range(deg - 1, -1, -1):
-        poly = poly * IntPoly((-i, 1)) + IntPoly((c[i],))
-    return poly
+    poly = [c[deg]]
+    for i in range(deg - 1, -1, -1):        # poly <- poly (x - i) + c[i]
+        poly = [c[i] - i * poly[0],
+                *(a - i * b for a, b in zip(poly, poly[1:])), poly[-1]]
+    if any(f.denominator != 1 for f in poly):
+        raise RuntimeError("interpolated resultant is not in Z[x]")
+    return IntPoly([f.numerator for f in poly])
 
 
 def _product_polynomial(coords, exponents):

@@ -345,6 +345,40 @@ class TestSubcommands:
         assert code == 0
         assert data["observed_outside_mass"] == 1.0 and data["satisfied"]
 
+    def test_annulus_root_of_unity(self, capsys):
+        # Phi_12: no conjugate outside and log M = 0, so 0 <= 0 passes
+        code, data = run_cli(["annulus", "--poly=1,0,-1,0,1", "--r", "1.5"],
+                             capsys)
+        assert code == 0 and data["observed_outside_mass"] == 0.0
+        assert abs(data["bound"]) < 1e-20 and data["pass"] and data["satisfied"]
+
+    @pytest.mark.parametrize("short", [False, True])
+    def test_annulus_decided_exactly_at_equality(self, short, capsys,
+                                                 monkeypatch):
+        # 2 of 3 conjugates outside, and the upper end of log M equal to the
+        # lower end of log r: 2/3 <= 2 log M / (3 log r) holds with
+        # equality, and fails once log M's upper end is one ulp lower
+        import arithdyn.algebraic as alg
+        import arithdyn.green as grn
+        from arithdyn.numutil import log_dyadic
+        num, den = (1.5).as_integer_ratio()
+        log_r = Fraction(log_dyadic(num, 1 - den.bit_length(), 64)[0], 2 ** 64)
+        log_m = float(log_r)
+        if log_m > log_r:
+            log_m = math.nextafter(log_m, 0.0)
+        err = float(log_r - Fraction(log_m))
+        assert err > 0 and Fraction(log_m) + Fraction(err) == log_r
+        if short:
+            err = math.nextafter(err, 0.0)
+        monkeypatch.setattr(grn, "annulus_mass_bound",
+                            lambda xi, r: (2 / 3, 2 * log_m / (3 * math.log(r))))
+        monkeypatch.setattr(alg, "mahler_measure", lambda P, tol: (
+            alg.MahlerResult(math.exp(log_m), log_m, err, log_m, 1, 0.0)))
+        code, data = run_cli(["annulus", "--poly=-2,0,0,1", "--r", "1.5"],
+                             capsys)
+        assert code == 0 and data["statistic"] == 2 / 3
+        assert data["pass"] is data["satisfied"] is (not short)
+
     def test_torus_height(self, capsys):
         code, data = run_cli(
             ["torus", "height", "--coords",

@@ -559,6 +559,32 @@ class TestReportedEnclosures:
             assert Fraction(val) - Fraction(err) <= lo
             assert hi <= Fraction(val) + Fraction(err)
 
+    @pytest.mark.parametrize("u,v,point", [
+        ((4, -5, 2), (-1, -2, 4), (1, -1)),
+        ((-5, -5, -5), (5, 3, -5), (3, 4)),
+        ((1, -5, 3), (-2, 2, 2), (2, 1))])
+    def test_global_error_covers_its_parts(self, u, v, point, monkeypatch):
+        # the interval route's error is the truncation bound plus the
+        # enclosure's error, summed exactly: the float sum rounds to nearest
+        # and fell half an ulp short on these three cases
+        import arithdyn.dynamics as dyn
+        from arithdyn.numutil import float_up
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(enclosure(*args, **kwargs))
+            return seen[-1]
+
+        enclosure = dyn._orbit_log_enclosure
+        monkeypatch.setattr(dyn, "_orbit_log_enclosure", spy)
+        f = make_map(u, v)
+        res = canonical_height_global(f, ProjPointQ(point), 1e-8)
+        assert seen and seen[-1] is not None       # the interval route ran
+        d = f.degree
+        trunc = float_up(Fraction(max(f.functoriality_constants()))
+                         / (d ** res.n_used * (d - 1)))
+        assert Fraction(res.error) >= Fraction(trunc) + Fraction(seen[-1][1])
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_local_total_covers_its_parts(self, tol):
         import mpmath as mpm

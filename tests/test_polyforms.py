@@ -1,12 +1,15 @@
 """Exact-arithmetic layer: resultants, cofactors, discriminants, roots.
 
-The independent oracle for resultants is a permutation-expansion
-determinant over the hand-built Sylvester matrix, kept free of the Bareiss
-code path under test.
+The independent oracle for the resultants of forms is a permutation-
+expansion determinant over the hand-built Sylvester matrix, kept free of
+the Bareiss code path under test.  The univariate gcds, resultants and
+quotients of the subresultant sequence are checked against the algorithms
+it replaced: Euclid over Fractions and Bareiss on the Sylvester matrix.
 """
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -248,6 +251,181 @@ class TestDiscriminant:
         P = IntPoly((-2, 0, 1))       # roots +/- sqrt 2
         Q = IntPoly((0, 2))           # Q = 2X
         assert resultant_univariate(P, Q) == -8
+
+
+def sylvester_general(p, q):
+    """Sylvester matrix of high-first coefficient lists of degrees m and n:
+    columns 0..n-1 hold the shifts of p, columns n..n+m-1 those of q."""
+    m, n = len(p) - 1, len(q) - 1
+    mat = [[0] * (m + n) for _ in range(m + n)]
+    for i in range(n):
+        for k, c in enumerate(p):
+            mat[i + k][i] = c
+    for i in range(m):
+        for k, c in enumerate(q):
+            mat[i + k][n + i] = c
+    return mat
+
+
+def resultant_by_bareiss(P, Q):
+    """Oracle: Res(P, Q) as the Bareiss determinant of the Sylvester matrix."""
+    m, n = P.degree, Q.degree
+    if m < 0 or n < 0:
+        return 0
+    if m == 0:
+        return P.lead ** n
+    if n == 0:
+        return Q.lead ** m
+    return _bareiss(sylvester_general(P.coeffs[::-1], Q.coeffs[::-1]))[0]
+
+
+def divmod_over_q(P, Q):
+    """Oracle: Euclidean division over Q; (quotient, remainder) as lists of
+    Fractions, low degree first, the remainder trimmed."""
+    b = [Fraction(c) for c in Q.coeffs]
+    r = [Fraction(c) for c in P.coeffs]
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        t, k = r[-1] / b[-1], len(r) - len(b)
+        q[k] = t
+        for i, c in enumerate(b):
+            r[k + i] -= t * c
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def gcd_by_fraction_euclid(P, Q):
+    """Oracle: Euclid over Q, scaled to a primitive integer polynomial."""
+    a, b = P, Q
+    while not b.is_zero():
+        _, r = divmod_over_q(a, b)
+        den = math.lcm(*(c.denominator for c in r))
+        a, b = b, IntPoly([int(c * den) for c in r])
+    return a.primitive()
+
+
+@st.composite
+def int_polys(draw, max_degree=7):
+    """Integer polynomials of degree -1 (zero) to max_degree with contents
+    above 1, negative leading coefficients and zero constant terms."""
+    d = draw(st.integers(-1, max_degree))
+    if d < 0:
+        return IntPoly(())
+    low = draw(st.lists(st.integers(-12, 12), min_size=d, max_size=d))
+    zeros = draw(st.integers(0, d))
+    lead = draw(st.integers(-12, 12).filter(bool))
+    content = draw(st.sampled_from([1, 1, 2, 3, 30]))
+    return IntPoly([0] * zeros + [content * c for c in low[zeros:]]
+                   + [content * lead])
+
+
+def dynatomic(c, n):
+    """Phi*_n of z^2 + c: the product of (f^k(z) - z)^mu(n/k) over k | n, by
+    exact division (n <= 8)."""
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
+    num = den = IntPoly((1,))
+    for k in range(1, n + 1):
+        if n % k or not mobius[n // k]:
+            continue
+        fk = IntPoly((0, 1))
+        for _ in range(k):
+            fk = fk * fk + IntPoly((c,))
+        if mobius[n // k] > 0:
+            num = num * (fk + IntPoly((0, -1)))
+        else:
+            den = den * (fk + IntPoly((0, -1)))
+    return num.exact_div(den)
+
+
+class TestSubresultants:
+    @settings(max_examples=400, deadline=None)
+    @given(int_polys(), int_polys(), int_polys(3), st.booleans())
+    def test_against_euclid_and_bareiss(self, P, Q, F, share):
+        if share and not F.is_zero():     # a forced common factor
+            P, Q = P * F, Q * F
+        assert resultant_univariate(P, Q) == resultant_by_bareiss(P, Q)
+        g = P.gcd(Q)
+        assert g == gcd_by_fraction_euclid(P, Q)
+        assert P.is_squarefree() == (
+            gcd_by_fraction_euclid(P, P.derivative()).degree == 0)
+        if P.degree >= 2:
+            want = Fraction(resultant_by_bareiss(P, P.derivative()), P.lead)
+            want *= -1 if P.degree * (P.degree - 1) // 2 % 2 else 1
+            assert discriminant(P) == want
+        if Q.is_zero():
+            return
+        q, r = divmod_over_q(P, Q)
+        if r or any(c.denominator != 1 for c in q):
+            with pytest.raises(InvalidInputError):
+                P.exact_div(Q)
+        else:
+            assert P.exact_div(Q) == IntPoly([int(c) for c in q])
+        assert (P * Q).exact_div(Q) == P
+
+    def test_squarefree_part(self):
+        P = IntPoly((0, 0, -3, 3)) * IntPoly((1, 2)) * IntPoly((1, 2))
+        S = P.squarefree_part()                 # 3X^2 (X - 1) (2X + 1)^2
+        assert S == IntPoly((0, -1, 1)) * IntPoly((1, 2))
+        assert S.is_squarefree() and not P.is_squarefree()
+        assert IntPoly((-6,)).squarefree_part() == IntPoly((1,))
+
+    def test_zero_polynomial(self):
+        P, zero = IntPoly((4, -2)), IntPoly(())
+        assert P.gcd(zero) == zero.gcd(P) == IntPoly((-2, 1))
+        assert zero.gcd(zero).is_zero()
+        assert resultant_univariate(P, zero) == 0
+        assert resultant_univariate(zero, P) == 0
+        assert zero.exact_div(P).is_zero()
+        assert not zero.is_squarefree()
+        with pytest.raises(ZeroDivisionError):
+            P.exact_div(zero)
+
+    def test_constants(self):
+        P = IntPoly((1, 0, -3))
+        assert resultant_univariate(P, IntPoly((-2,))) == 4
+        assert resultant_univariate(IntPoly((-2,)), P) == 4
+        assert resultant_univariate(IntPoly((5,)), IntPoly((7,))) == 1
+        assert P.gcd(IntPoly((6,))) == IntPoly((1,))
+
+    def test_division_outside_z_is_refused(self):
+        two_x_plus_4 = IntPoly((4, 2))
+        assert two_x_plus_4.exact_div(IntPoly((2,))) == IntPoly((2, 1))
+        with pytest.raises(InvalidInputError):
+            two_x_plus_4.exact_div(IntPoly((4,)))
+        with pytest.raises(InvalidInputError):
+            IntPoly((1, 0, 1)).exact_div(IntPoly((1, 1)))
+
+    def test_coefficients_must_be_integers(self):
+        with pytest.raises(InvalidInputError):
+            IntPoly((Fraction(1, 2),))
+        with pytest.raises(InvalidInputError):
+            IntPoly((1, 2.0))
+        assert IntPoly((3, 0, 0)).coeffs == (3,)
+
+    @pytest.mark.parametrize("c", [-2, -1, 1, 2])
+    def test_dynatomic_discriminants_against_bareiss(self, c):
+        for n, degree in enumerate((2, 2, 6, 12, 30, 54), start=1):
+            P = dynatomic(c, n)
+            assert P.degree == degree
+            want = Fraction(resultant_by_bareiss(P, P.derivative()), P.lead)
+            want *= -1 if P.degree * (P.degree - 1) // 2 % 2 else 1
+            assert discriminant(P) == want
+
+    def test_degree_60_squarefree_is_fast(self):
+        rng = random.Random(3)
+        P = IntPoly([rng.randint(-10, 10) for _ in range(60)] + [1])
+        t0 = time.perf_counter()
+        assert P.is_squarefree()
+        assert time.perf_counter() - t0 < 0.05
+
+    def test_degree_126_discriminant_is_fast(self):
+        P = dynatomic(-1, 7)
+        assert P.degree == 126
+        t0 = time.perf_counter()
+        disc = discriminant(P)
+        assert time.perf_counter() - t0 < 1.0
+        assert disc != 0 and P.is_squarefree()
 
 
 class TestCyclotomic:
