@@ -73,8 +73,10 @@ MAHLER_PREC = 128  # bits of the directed products, scale 2^-128 of the logs
 def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
     """M(P) = |a_0| prod max(1, |xi_i|) with certified error bounds.
 
-    Each root's factor lies in [max(1, |z| - r), max(1, |z| + r)] for its
-    inclusion disk (z, r), with |z| the square root of its exact square.
+    The roots are those of P's primitive part; a_0 = `leading_coeff` is
+    P's own, so M(c P) = |c| M(P).  Each root's factor lies in
+    [max(1, |z| - r), max(1, |z| + r)] for its inclusion disk (z, r), with
+    |z| the square root of its exact square.
     The products of these ends, rounded down and up with libmp, enclose the
     archimedean product and M; each end is a dyadic m 2^e, and
     `numutil.log_bounds` encloses its log on integers.  `measure` and
@@ -83,10 +85,8 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
     """
     if P.is_zero():
         raise InvalidInputError("zero polynomial has no Mahler measure")
-    P = P.primitive()
-    if P.degree == 0:
-        return MahlerResult(1.0, 0.0, 0.0, 0.0, 1, 0.0)
-    if not P.is_squarefree():
+    Q = P.primitive()
+    if Q.degree and not Q.is_squarefree():
         raise RepeatedRootError(
             "non-squarefree input; take squarefree_part() first so root "
             "multiplicities are explicit")
@@ -105,7 +105,8 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
         _, man, exp, _ = x
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
-    zz, radii = P.certified_roots(min(tol * 1e-2, 1e-13))
+    zz, radii = Q.certified_roots(min(tol * 1e-2, 1e-13)) if Q.degree \
+        else ((), ())
     prec = MAHLER_PREC
     lo = hi = fone
     for z, r in zip(zz, radii):

@@ -37,13 +37,12 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebraic import AlgebraicNumber, height_algebraic
 from .errors import (InvalidInputError, ResourceLimitError,
                      UnsupportedScopeError)
 from .numutil import Value, factorize
-from .polyforms import discriminant, vp
 
-if TYPE_CHECKING:   # only height_discrepancy_terms builds a map
+if TYPE_CHECKING:   # imported by the functions that use them
+    from .algebraic import AlgebraicNumber
     from .dynamics import RationalMap
 
 INF = "inf"  # marker for [1:0] in point lists
@@ -409,7 +408,9 @@ def height_discrepancy_terms(xi: AlgebraicNumber, d=2, tol=1e-12):
     if d > POWER_D_CAP:
         raise ResourceLimitError(POWER_D_CAP, f"power exponent {d} exceeds "
                                  f"the cap {POWER_D_CAP}")
+    from .algebraic import height_algebraic
     from .dynamics import RationalMap
+    from .polyforms import discriminant, vp
     d_inf = discrepancy(EscapeRateField(RationalMap.power(d), tol), xi, tol)
     lhs = height_algebraic(xi, tol)
     n = xi.degree
@@ -702,6 +703,7 @@ def annulus_mass_bound(xi: AlgebraicNumber, r, tol=1e-10):
     lower bound on the true mass and the lemma inequality is testable as
     stated.
     """
+    from .algebraic import height_algebraic
     if r <= 1:
         raise InvalidInputError("need r > 1")
     roots = xi.conjugates(tol)

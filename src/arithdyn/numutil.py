@@ -1,8 +1,8 @@
 """The bottom layer, importing no arithdyn module but `errors`: the base of
 the value types, the mpmath lock, the per-instance memo, rationals parsed
-under a digit cap, Horner's rule,
-factorization, primality, floats rounded upward and directed bounds on
-integer combinations of logarithms.
+under a digit cap, Horner's rule, factorization, primality, floats rounded
+upward, directed bounds on integer combinations of logarithms and integer
+enclosures of zeta at integers (`zeta_dyadic`).
 
 The logarithms are taken on Python integers (`log_dyadic`): an atanh series
 on fixed-point integers with an error bound counted term by term (Brent &
@@ -341,6 +341,43 @@ def log_dyadic(m, e, prec):
         L += k * L2
         E += abs(k) * E2
     return (L - E) >> g, -(-(L + E) >> g)
+
+
+def zeta_dyadic(s, prec):
+    """Integers (lo, hi) with lo <= 2^prec zeta(s) <= hi for an int s >= 2,
+    a few units apart.  For s >= prec + 2, 0 < zeta(s) - 1 <= 2^-s (1 + 2 /
+    (s - 1)) < 2^-prec.  Otherwise, by Euler-Maclaurin from N = w = prec + g
+    (Graham, Knuth & Patashnik, Concrete Mathematics, 2nd ed., 9.5),
+    zeta(s) = sum_(n<N) n^-s + N^(1-s)/(s-1) + N^-s/2 + T_1 + ... + T_m + R
+    with T_j = a_j s (s+1) ... (s+2j-2) N^(1-s-2j), a_j = B_2j / (2j)!, and
+    R between 0 and T_(m+1), as every even derivative of x^-s is positive.
+    Each term is truncated at scale 2^-w, and the sum stops at the first T_j
+    of at most one unit: 2^w zeta(s) lies in [L - 1, L + t + 1] for the sum
+    L of the t terms.  |a_(j+1) / a_j| <= 1/(4 pi^2) makes |T_(j+1) / T_j| <
+    1/8 while s + 2j <= 2N, so m < N/3 and t < 2^g.  The a_j solve
+    sum_(i<=j) 4^i a_i / (2j-2i+1)! = 1/(2j)!, as (x/2) cosh(x/2) =
+    sinh(x/2) sum a_j x^2j."""
+    if s < 2:
+        raise ValueError(f"zeta({s}): need s >= 2")
+    if s >= prec + 2:
+        return 1 << prec, (1 << prec) + 1
+    g = (2 * prec).bit_length() + 1
+    N = w = prec + g
+    one, fact = 1 << w, math.factorial
+    L = sum(one // n ** s for n in range(1, N)) \
+        + one // ((s - 1) * N ** (s - 1)) + one // (2 * N ** s)
+    t, a = N + 1, [Fraction(1)]
+    rising, power = s, N ** (s + 1)     # of T_1
+    while True:
+        j = len(a)
+        a.append((Fraction(1, fact(2 * j)) - sum(
+            a[i] * 4 ** i / fact(2 * j - 2 * i + 1) for i in range(j))) / 4 ** j)
+        T = a[j].numerator * rising * one // (a[j].denominator * power)
+        if -1 <= T <= 0:
+            return (L - 1) >> g, -(-(L + t + 1) >> g)
+        L, t = L + T, t + 1
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        power *= N * N
 
 
 def log_bounds(terms, prec, m=(1, 1), P=0, tail=0.0, D=1):

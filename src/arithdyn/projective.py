@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import MP_PRECISION_LOCK, Value, log_up, parse_rational
-from .polyforms import BinaryForm, nullstellensatz_cofactors
+from .numutil import Value, log_up, parse_rational, reported, zeta_dyadic
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
 COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entries
@@ -165,8 +164,9 @@ def enumerate_points(k, B):
 def schanuel_ratio(k, B):
     """N(B) / (2^k B^(k+1) / zeta(k+1)) with B an *exponential* height bound.
 
-    N(B) / (2^k B^(k+1)) is an exact rational; its product with zeta(k+1)
-    is taken at 30 digits and rounded to a float once, so the result is
+    N(B) / (2^k B^(k+1)) is an exact rational; its products with the ends
+    of `numutil.zeta_dyadic`'s enclosure of zeta(k+1), at scale 2^-128,
+    enclose the ratio, and the result is the float nearest their midpoint,
     within one ulp of the true ratio.  The constant needs k >= 1 (zeta(1)
     is a pole)."""
     if not k >= 1:
@@ -178,9 +178,8 @@ def schanuel_ratio(k, B):
     Hmax = int(B)
     n = count_points(k, Hmax)
     q = Fraction(n) / (2 ** k * Fraction(B) ** (k + 1))
-    import mpmath as mpm
-    with MP_PRECISION_LOCK, mpm.workdps(30):
-        return float(mpm.mpf(q.numerator) / q.denominator * mpm.zeta(k + 1))
+    lo, hi = zeta_dyadic(k + 1, 128)
+    return reported(q * lo / 2 ** 128, q * hi / 2 ** 128)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +344,7 @@ def binary_constants(U, V):
     """
     if unit_power_pair(U, V):
         return 0.0, 0.0, 1
+    from .polyforms import nullstellensatz_cofactors
     ax, bx, ay, by, _ = nullstellensatz_cofactors(U, V)
     max_cofactor = max(max(abs(c) for c in g.coeffs) for g in (ax, bx, ay, by))
     c_upper = log_up(max(sum(abs(c) for c in U.coeffs),
@@ -380,6 +380,7 @@ def functoriality_constants(f: HomMorphism):
 
 
 def _homform_to_binary(form: HomForm):
+    from .polyforms import BinaryForm
     d = form.degree
     coeffs = [0] * (d + 1)
     for expo, c in form.terms:

@@ -7,12 +7,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arithdyn.algebraic import (AlgebraicNumber, _phi_inverse,
                                 cyclotomic_number, height_algebraic,
                                 is_root_of_unity, lehmer_bounds,
                                 local_height_breakdown, mahler_measure)
 from arithdyn.errors import InvalidInputError, RepeatedRootError
+from arithdyn.numutil import log_bounds
 from arithdyn.polyforms import IntPoly, complex_roots, cyclotomic, discriminant
 
 LEHMER = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
@@ -59,6 +62,38 @@ class TestMahler:
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             mahler_measure(IntPoly(()))
+
+    @pytest.mark.parametrize("cs,measure", [((2, 4), 4.0), ((5,), 5.0),
+                                            ((-3,), 3.0), ((6, 0, -6), 6.0)])
+    def test_content_counts(self, cs, measure):
+        # M(P) = |a_d| prod max(1, |root|) of P itself, constants included
+        res = mahler_measure(IntPoly(cs))
+        assert abs(Fraction(res.measure) - Fraction(measure)) \
+            <= Fraction(res.measure_error) < 1e-12
+        assert res.leading_coeff == cs[-1]
+        assert abs(Fraction(res.log_measure) - Fraction(math.log(measure))) \
+            <= Fraction(res.error_bound) + Fraction(math.ulp(measure))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+           st.integers(-60, 60).filter(bool))
+    def test_scaling_by_a_constant(self, cs, c):
+        # M(c P) = |c| M(P) and log M(c P) = log|c| + log M(P), each side
+        # within its stated error, for every P with a squarefree primitive
+        # part, constants included
+        P = IntPoly(cs)
+        assume(not P.is_zero())
+        Q = P.primitive()
+        assume(Q.degree == 0 or Q.is_squarefree())
+        m, mc = mahler_measure(P), mahler_measure(P * c)
+        assert mc.leading_coeff == c * m.leading_coeff == c * P.lead
+        assert abs(Fraction(mc.measure) - abs(c) * Fraction(m.measure)) \
+            <= Fraction(mc.measure_error) + abs(c) * Fraction(m.measure_error)
+        lo, hi = log_bounds(((1, abs(c)),), 80)
+        gap = Fraction(mc.log_measure) - Fraction(m.log_measure)
+        slack = Fraction(mc.error_bound) + Fraction(m.error_bound)
+        assert lo - slack <= gap <= hi + slack
+        assert mc.archimedean_part == m.archimedean_part
 
     def test_reversed_polynomial_same_measure(self):
         # M is invariant under coefficient reversal (h(a) = h(1/a))

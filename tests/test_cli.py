@@ -1041,6 +1041,26 @@ class TestManifestsAndDeterminism:
         assert data["versions"]["arithdyn"]
         assert "wall_time_s" in data and "seed" in data
 
+    def test_manifest_records_the_parsed_argv(self, tmp_path, capsys):
+        # an in-process caller's argv, not the host's sys.argv
+        man = tmp_path / "manifest.json"
+        argv = ["--seed", "4", "--manifest", str(man), "height", "--point",
+                "2/1"]
+        code, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(man.read_text())["argv"] == argv
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_manifest_ends_in_the_error_object(self, where,
+                                                          tmp_path, capsys):
+        path = tmp_path / "no" / "m.json" if where == "missing" else tmp_path
+        code = main(["--manifest", str(path), "height", "--point", "1/2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "missing": "FileNotFoundError",
+            "directory": "IsADirectoryError"}[where]
+
     def test_seeded_csv_bit_identical(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

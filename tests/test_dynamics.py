@@ -372,15 +372,16 @@ class TestCommuting:
 
 class TestConstantsKeptOnTheMap:
     def test_one_cofactor_solve_per_map(self, monkeypatch):
-        import arithdyn.projective as proj
+        # projective.binary_constants imports the solver when it runs
+        import arithdyn.polyforms as pf
         calls = []
-        solve = proj.nullstellensatz_cofactors
+        solve = pf.nullstellensatz_cofactors
 
         def counting(U, V):
             calls.append((U, V))
             return solve(U, V)
 
-        monkeypatch.setattr(proj, "nullstellensatz_cofactors", counting)
+        monkeypatch.setattr(pf, "nullstellensatz_cofactors", counting)
         f = make_map((1, 0, 1), (0, 0, 1))
         x = ProjPointQ((1, 2))
         for tol in (1e-6, 1e-12):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from arithdyn import numutil
 from arithdyn.errors import ResourceLimitError
 from arithdyn.numutil import (factorize, float_up, is_prime, log_bounds,
-                              log_dyadic, log_up, reported)
+                              log_dyadic, log_up, reported, zeta_dyadic)
 
 # Res(U, V) of the degree-4 map U = (-715337, 817236, -190296, -616583,
 # 315427), V = (-676755, -348182, 905102, -521046, 715054)
@@ -150,6 +150,31 @@ def test_powers_of_two_are_multiples_of_log_2(m, e):
 def test_log_of_a_nonpositive_number_raises(m):
     with pytest.raises(ValueError):
         log_dyadic(m, 0, 64)
+
+
+@pytest.mark.parametrize("s", range(2, 10))
+def test_zeta_encloses_the_50_digit_value(s):
+    # k = 1..8 of schanuel_ratio's zeta(k + 1), at its scale and at others
+    with mpm.workdps(50):
+        z = mpm.zeta(s)
+        for prec in (1, 8, 53, 128, 160):
+            lo, hi = zeta_dyadic(s, prec)
+            ref = _exact(z * mpm.ldexp(1, prec))
+            assert lo <= ref <= hi and hi - lo <= 3, prec
+
+
+@pytest.mark.parametrize("s", [10, 60, 127, 128, 129, 130, 131, 1000, 10 ** 6])
+def test_zeta_at_large_s(s):
+    # from s = prec + 2 on, zeta(s) lies within 2^-prec above 1
+    with mpm.workdps(60):
+        ref = _exact((mpm.zeta(s) - 1) * mpm.ldexp(1, 180))
+    lo, hi = zeta_dyadic(s, 128)
+    assert lo << 52 <= (1 << 180) + ref <= hi << 52 and hi - lo <= 3
+
+
+def test_zeta_of_one_raises():
+    with pytest.raises(ValueError):
+        zeta_dyadic(1, 64)
 
 
 def test_reported_rounds_the_midpoint_and_bounds_the_ends():

@@ -134,6 +134,19 @@ class TestSchanuel:
         with pytest.raises(InvalidInputError, match="--k"):
             schanuel_ratio(0, 10)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_ratio_is_the_rounded_30_digit_product(self, k):
+        # the value that the product of N(B) / (2^k B^(k+1)) with mpmath's
+        # zeta(k + 1) at 30 digits rounds to: zeta on integers moves no output
+        import mpmath as mpm
+        for B in (2, 3.5, 10, 57.25, 1000)[:5 if k <= 3 else 3]:
+            q = Fraction(count_points(k, int(B))) / (2 ** k * Fraction(B)
+                                                      ** (k + 1))
+            with mpm.workdps(30):
+                ref = float(mpm.mpf(q.numerator) / q.denominator
+                            * mpm.zeta(k + 1))
+            assert schanuel_ratio(k, B) == ref, B
+
 
 class TestSegreVeronese:
     def test_segre_examples(self):

@@ -10,18 +10,23 @@ import pytest
 import arithdyn
 
 SOURCES = sorted(Path(arithdyn.__file__).parent.glob("*.py"))
+# the subcommand bodies, one module per layer
+COMMANDS = sorted(Path(arithdyn.__file__).parent.glob("commands/*.py"))
 
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"polyforms.py", "dynamics.py",
                                          "torus.py", "cli.py"}
+    assert {p.name for p in COMMANDS} == {
+        "__init__.py", "projective.py", "algebraic.py", "dynamics.py",
+        "green.py", "torus.py"}
 
 
 def test_no_assert_in_library_code():
     # `python -O` strips assert statements, so a certification invariant
     # guarded by one silently disappears; raise an explicit error instead.
     found = [f"{p.name}:{node.lineno}"
-             for p in SOURCES
+             for p in SOURCES + COMMANDS
              for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
              if isinstance(node, ast.Assert)]
     assert found == []
@@ -112,15 +117,14 @@ def test_libmp_logs_hold_the_lock():
     # while another thread grows it can pair the old cache precision with
     # the new value and come out scaled by a power of two; zeta keeps its
     # coefficients the same way.  The library's logs are taken on integers
-    # (numutil.log_dyadic), so what is left is zeta, under the lock
-    locked, unlocked = [], []
-    for p in SOURCES:
+    # (numutil.log_dyadic), and so is zeta (numutil.zeta_dyadic): no such
+    # call is left, locked or not
+    found = []
+    for p in SOURCES + COMMANDS:
         tree = ast.parse(p.read_text(), filename=str(p))
         ok, bad = _precision_changes(tree, _is_libmp_log)
-        locked += [f"{p.name}:{n}" for n in ok]
-        unlocked += [f"{p.name}:{n}" for n in bad]
-    assert unlocked == []
-    assert locked
+        found += [f"{p.name}:{n}" for n in ok + bad]
+    assert found == []
 
 
 def test_libmp_log_check_flags_unlocked_logs():
@@ -146,11 +150,15 @@ def _imported(tree):
 
 def test_dynamics_leaves_mpmath_precision_alone():
     # the canonical-height kernels run on fixed-point integer intervals and
-    # numutil closes them with logs taken on integers, so neither module
-    # (nor cli) imports mpmath, and dynamics needs neither mpmath's global
-    # contexts nor the lock
-    for name in ("dynamics.py", "numutil.py", "cli.py"):
-        path = next(p for p in SOURCES if p.name == name)
+    # numutil closes them with logs taken on integers, and projective takes
+    # zeta on integers too, so none of these modules (nor cli and the
+    # command modules) imports mpmath, and none but numutil, which defines
+    # it, names mpmath's global contexts or the lock
+    paths = [p for p in SOURCES if p.name in ("dynamics.py", "numutil.py",
+                                             "cli.py", "projective.py")]
+    assert len(paths) == 4
+    for path in paths + COMMANDS:
+        name = str(path.relative_to(path.parents[1]))
         tree = ast.parse(path.read_text(), filename=str(path))
         assert _precision_changes(tree) == ([], []), name
         assert not [m for m in _imported(tree)
@@ -160,7 +168,7 @@ def test_dynamics_leaves_mpmath_precision_alone():
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert not attrs & {"iv", "mp", "workdps", "workprec", "libmp"}, name
         assert not names & {"mpm", "mpmath", "libmp"}, name
-        if name != "numutil.py":    # numutil defines the lock
+        if path.name != "numutil.py":    # numutil defines the lock
             assert "MP_PRECISION_LOCK" not in attrs | names, name
 
 
@@ -183,7 +191,7 @@ def test_no_module_imports_dataclasses():
     # inspect), and each decorated class more, as exec of generated code;
     # value types derive from numutil.Value, records are NamedTuples
     found = []
-    for p in SOURCES:
+    for p in SOURCES + COMMANDS:
         for n in ast.walk(ast.parse(p.read_text(), filename=str(p))):
             names = [a.name for a in n.names] if isinstance(n, ast.Import) \
                 else [n.module] if isinstance(n, ast.ImportFrom) else []
@@ -230,7 +238,9 @@ def test_numutil_is_the_bottom_layer():
 
 
 @pytest.mark.parametrize("name", [p.stem for p in SOURCES
-                                  if p.stem != "__init__"])
+                                  if p.stem != "__init__"]
+                         + [f"commands.{p.stem}" for p in COMMANDS
+                            if p.stem != "__init__"])
 def test_each_module_imports_alone(name):
     # the package __init__ imports the modules in one fixed order, which can
     # hide an import cycle; a bare package lets this module load first

@@ -1,8 +1,9 @@
 """What a CLI process loads and builds: each README example, run as
-`python -m arithdyn.cli` in a fresh interpreter, imports only the arithdyn
-modules its subcommand runs, mpmath only where mp arithmetic runs and
-neither `dataclasses` nor (without numpy) `inspect`; its parser holds only
-the subparser of its command and parses as the full parser."""
+`python -m arithdyn.cli` in a fresh interpreter, imports the `commands`
+package, its own command module and only the arithdyn modules its
+subcommand runs, mpmath only where mp arithmetic runs and neither
+`dataclasses` nor (without numpy) `inspect`; its parser holds only the
+subparser of its command and parses as the full parser."""
 
 import json
 import math
@@ -20,61 +21,79 @@ Z2P1 = '{"d":2,"U":[1,0,1],"V":[0,0,1]}'
 POWER2 = '{"d":2,"U":[1,0,0],"V":[0,0,1]}'
 
 EXACT = {"errors", "numutil", "polyforms"}
-PROJECTIVE = EXACT | {"projective"}
-DYNAMICS = PROJECTIVE | {"dynamics"}
+PROJECTIVE = {"errors", "numutil", "projective"}   # no polyforms
+DYNAMICS = EXACT | {"projective", "dynamics"}
 ALGEBRAIC = EXACT | {"algebraic"}
-GREEN = DYNAMICS | {"algebraic", "green"}   # with maps
+GREEN = DYNAMICS | {"green"}                 # with maps, no algebraic
 MEASURES = ALGEBRAIC | {"green"}             # without maps
 TORUS = ALGEBRAIC | {"torus"}
 ROOTS = ALGEBRAIC | {"roots"}                # finds certified roots
+USAGE = {"errors", "commands"}               # what a usage error loads
+
+
+def run(module, layers):
+    """The modules of a process that runs a command of `commands.<module>`
+    and the layers `layers`."""
+    return layers | {"commands", f"commands.{module}"}
+
 
 # (label, argv, arithdyn modules besides the package and cli, mpmath loaded):
-# README's CLI examples, then five inputs that must be rejected; 19 of the 24
+# README's CLI examples, then five inputs that must be rejected; 20 of the 24
 # load no mpmath
 EXAMPLES = [
     ("canheight", ["canheight", "--map", Z2P1, "--point", "0/1", "--tol",
-                   "1e-8", "--method", "both"], DYNAMICS, False),
-    ("preperiodic", ["preperiodic", "--map", POWER2], DYNAMICS, False),
+                   "1e-8", "--method", "both"], run("dynamics", DYNAMICS),
+     False),
+    ("preperiodic", ["preperiodic", "--map", POWER2],
+     run("dynamics", DYNAMICS), False),
     ("mahler", ["mahler", "--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1"],
-     ROOTS, True),
-    ("height", ["height", "--point", "3:5:-7"], PROJECTIVE, False),
+     run("algebraic", ROOTS), True),
+    ("height", ["height", "--point", "3:5:-7"],
+     run("projective", PROJECTIVE), False),
     ("enumerate", ["enumerate", "--k", "1", "--B", "2.3", "--out",
-                   "points.csv"], PROJECTIVE, False),
-    ("schanuel", ["schanuel", "--k", "1", "--B", "1000"], PROJECTIVE, True),
-    ("algheight", ["algheight", "--poly=-2,0,0,1"], ROOTS, True),
-    ("rou", ["rou", "--poly", "1,0,-1,0,1"], ALGEBRAIC, False),
+                   "points.csv"], run("projective", PROJECTIVE), False),
+    ("schanuel", ["schanuel", "--k", "1", "--B", "1000"],
+     run("projective", PROJECTIVE), False),
+    ("algheight", ["algheight", "--poly=-2,0,0,1"], run("algebraic", ROOTS),
+     True),
+    ("rou", ["rou", "--poly", "1,0,-1,0,1"], run("algebraic", ALGEBRAIC),
+     False),
     ("goodred", ["goodred", "--map", '{"d":2,"U":[1,0,0],"V":[0,0,2]}'],
-     DYNAMICS, False),
+     run("dynamics", DYNAMICS), False),
     ("julia-sample", ["julia-sample", "--map", Z2P1, "--out", "grid.csv"],
-     GREEN, False),
-    ("tdiam", ["tdiam", "--map", POWER2, "--n", "10"], GREEN, False),
+     run("green", GREEN), False),
+    ("tdiam", ["tdiam", "--map", POWER2, "--n", "10"], run("green", GREEN),
+     False),
     ("discrepancy", ["discrepancy", "--poly=-2,0,1", "--power-d", "2"],
-     GREEN | {"roots"}, True),
-    ("baker", ["baker", "--map", POWER2, "--roots-of-unity", "64"], GREEN,
-     False),
+     run("green", GREEN | {"algebraic", "roots"}), True),
+    ("baker", ["baker", "--map", POWER2, "--roots-of-unity", "64"],
+     run("green", GREEN), False),
     ("bilu", ["bilu", "--family", "primitive:101", "--exponents",
-              "1,2,3,4,5", "--out", "moments.csv"], MEASURES, False),
-    ("energy", ["energy", "--map", POWER2, "--cloud", "cloud.csv"], GREEN,
+              "1,2,3,4,5", "--out", "moments.csv"], run("green", MEASURES),
      False),
+    ("energy", ["energy", "--map", POWER2, "--cloud", "cloud.csv"],
+     run("green", GREEN), False),
     ("annulus", ["annulus", "--poly=-2,0,0,1", "--r", "1.5"],
-     MEASURES | {"roots"}, True),
+     run("algebraic", MEASURES | {"roots"}), True),
     ("torus-height", ["torus", "height", "--coords",
-                      '[{"rational":"2"},{"rational":"1/2"}]'], TORUS, False),
+                      '[{"rational":"2"},{"rational":"1/2"}]'],
+     run("torus", TORUS), False),
     ("torus-push", ["torus", "push", "--coords",
                     '[{"rational":"2"},{"rational":"3"}]', "--exp", "1,-1"],
-     TORUS, False),
+     run("torus", TORUS), False),
     ("torus-subadd", ["torus", "subadd", "--alpha", "2", "--beta", "3"],
-     TORUS, False),
+     run("torus", TORUS), False),
     ("reject-enumerate-B1000", ["enumerate", "--k", "1", "--B", "1000"],
-     PROJECTIVE, False),
+     run("projective", PROJECTIVE), False),
     ("reject-canheight-tol0", ["canheight", "--map", Z2P1, "--point", "0/1",
-                               "--tol", "0"], {"errors"}, False),
+                               "--tol", "0"], USAGE, False),
     ("reject-canheight-noV", ["canheight", "--map", '{"d":2,"U":[1,0,1]}',
-                              "--point", "0/1"], DYNAMICS, False),
+                              "--point", "0/1"], run("dynamics", DYNAMICS),
+     False),
     ("reject-annulus-nan", ["annulus", "--poly=-2,0,0,1", "--r", "nan"],
-     {"errors"}, False),
+     USAGE, False),
     ("reject-julia-nx-5", ["julia-sample", "--map", Z2P1, "--nx", "-5"],
-     {"errors"}, False),
+     USAGE, False),
 ]
 
 
@@ -134,14 +153,15 @@ def test_package_main_runs_the_cli_lazily(tmp_path):
     code, out, modules = _run(AS_MAIN.format("arithdyn"),
                               ["rou", "--poly", "1,0,-1,0,1"], tmp_path)
     assert code == 0 and json.loads(out)["order"] == 12
-    assert _loaded(modules) == (ALGEBRAIC, False)
+    assert _loaded(modules) == (run("algebraic", ALGEBRAIC), False)
 
 
 def test_library_import_of_cli_loads_every_layer(tmp_path):
-    # in-process callers of arithdyn.cli find every layer in sys.modules
+    # in-process callers of arithdyn.cli find every layer in sys.modules;
+    # the command modules load when main runs a command
     code, _, modules = _run("import arithdyn.cli\n", [], tmp_path)
     assert code == 0
-    assert _loaded(modules) == (GREEN | TORUS | {"cli"}, False)
+    assert _loaded(modules) == (GREEN | TORUS | {"cli", "commands"}, False)
 
 
 def test_every_exported_name_resolves():
