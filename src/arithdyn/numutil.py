@@ -230,10 +230,10 @@ def factorize(n):
 
 def float_up(q):
     """The least float >= the rational q (an int, Fraction or float)."""
-    return _ratio_up(*q.as_integer_ratio())
+    return ratio_up(*q.as_integer_ratio())
 
 
-def _ratio_up(n, d):
+def ratio_up(n, d):
     """The least float >= n / d for ints n and d > 0."""
     x = n / d              # correctly rounded
     xn, xd = x.as_integer_ratio()
@@ -417,7 +417,7 @@ def log_up(q):
     q = Fraction(q)
     hi = log_dyadic(q.numerator, 0, LOG_UP_PREC)[1] \
         - log_dyadic(q.denominator, 0, LOG_UP_PREC)[0]
-    return _ratio_up(hi, 1 << LOG_UP_PREC)
+    return ratio_up(hi, 1 << LOG_UP_PREC)
 
 
 def error_around(v, lo, hi):
@@ -428,7 +428,7 @@ def error_around(v, lo, hi):
     a, b = v.as_integer_ratio()
     up = hi.numerator * b - a * hi.denominator, hi.denominator * b
     down = a * lo.denominator - lo.numerator * b, lo.denominator * b
-    return _ratio_up(*(up if up[0] * down[1] >= down[0] * up[1] else down))
+    return ratio_up(*(up if up[0] * down[1] >= down[0] * up[1] else down))
 
 
 def reported(lo, hi):

@@ -14,10 +14,12 @@ from typing import NamedTuple
 
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
                      ResourceLimitError)
-from .numutil import Value, log_up, parse_rational, reported, zeta_dyadic
+from .numutil import (Value, log_dyadic, log_up, parse_rational, reported,
+                      zeta_dyadic)
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
 COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entries
+POWER_BITS_CAP = 1 << 17     # bits of (2 Hmax + 1)^(k+1), count_points' largest power
 
 
 def _normalize_coords(coords):
@@ -93,13 +95,19 @@ def count_points(k, Hmax):
 
     Mobius count of coprime tuples in the box [-Hmax, Hmax]^(k+1), halved
     for the sign identification.  Raises ResourceLimitError when Hmax
-    exceeds COUNT_CAP, before the sieve is allocated.
+    exceeds COUNT_CAP, or the largest power (2 Hmax + 1)^(k+1) has more
+    than POWER_BITS_CAP bits, before the sieve is allocated.
     """
     if Hmax < 1:
         return 0
     if Hmax > COUNT_CAP:
         raise ResourceLimitError(
             Hmax, f"counting to H = {Hmax} exceeds the cap {COUNT_CAP}")
+    bits = (k + 1) * math.log2(2 * Hmax + 1)
+    if bits > POWER_BITS_CAP:
+        raise ResourceLimitError(
+            bits, f"counting in P^{k} to H = {Hmax} takes a power of "
+            f"{bits:.0f} bits, beyond the cap {POWER_BITS_CAP}")
     mu = _mobius_sieve(Hmax)
     total = 0
     for g in range(1, Hmax + 1):
@@ -109,12 +117,35 @@ def count_points(k, Hmax):
     return total // 2
 
 
+def _log_at_most(m, B):
+    """Whether log m <= B, for an int m >= 1 and a float B, decided on the
+    enclosures of `numutil.log_dyadic` at rising precision.  B is a dyadic
+    rational and log m is 0 (m = 1) or transcendental, so log m != B unless
+    both are 0, and the enclosure leaves B behind at a finite precision."""
+    n, den = B.as_integer_ratio()
+    prec = 64
+    while True:
+        lo, hi = log_dyadic(m, 0, prec)
+        if hi * den <= n << prec:
+            return True
+        if lo * den > n << prec:
+            return False
+        prec *= 2
+
+
 def _hmax_from_log_bound(B):
-    # H <= e^B with an epsilon so integral boundaries are kept
+    """The largest integer H with log H <= B (0 when B < 0), decided
+    exactly: the candidates next to floor(exp(B)) are tested with
+    `_log_at_most`."""
     if B > math.log(COUNT_CAP):  # beyond every cap, and math.exp may overflow
         raise ResourceLimitError(
             B, f"log-height bound {B} exceeds the cap log {COUNT_CAP}")
-    return int(math.floor(math.exp(B) * (1 + 1e-12) + 1e-9))
+    H = int(math.exp(B))
+    while _log_at_most(H + 1, B):
+        H += 1
+    while H >= 1 and not _log_at_most(H, B):
+        H -= 1
+    return H
 
 
 def points_on_shell(k, m):

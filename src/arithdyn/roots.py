@@ -10,18 +10,23 @@ below a few ulps, then an mp pass on mpmath numbers from the float pass's
 iterates (from the Cauchy circle when a coefficient does not fit a float or
 the float iterates end non-finite or coincident).  The mp pass doubles
 precision until the inclusion disks, widened by a bound on the rounding of
-p(z), are pairwise disjoint and smaller than the requested tolerance.  No
-numpy; mpmath only inside the mp pass, under `numutil.MP_PRECISION_LOCK`.
+p(z), are pairwise disjoint and smaller than the requested tolerance.
+
+No numpy, and mpmath for Horner only: p(z), p'(z) and the bound on the
+rounding of p(z) run on mpmath numbers under `numutil.MP_PRECISION_LOCK`.
+The mp pass takes its Aberth sums over the other iterates on Python complex
+copies of them, and the Weierstrass radii and the disjointness test run on
+integers, from the iterates floored onto a grid (`_separations`,
+`_weierstrass_radii`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .errors import InvalidInputError, RepeatedRootError
-from .numutil import MP_PRECISION_LOCK, float_up, horner
+from .numutil import MP_PRECISION_LOCK, horner, ratio_up
 from .polyforms import CertifiedRoot
 
 ABERTH_SWEEPS = 120   # sweeps per Aberth pass, float or mp
@@ -33,18 +38,62 @@ def _circle(d):
                     math.sin(2 * math.pi * (k + 0.25) / d)) for k in range(d)]
 
 
-def _aberth(cs, zz, eps, stall):
+def _pair_sum(ws, i):
+    """sum over j != i of 1 / (ws[i] - ws[j])."""
+    w = ws[i]
+    s = 0
+    for v in ws[:i]:
+        s += 1 / (w - v)
+    for v in ws[i + 1:]:
+        s += 1 / (w - v)
+    return s
+
+
+# each float copy lies within 2^-53 of its iterate, relatively, so the
+# difference of two copies at least NEAR |w| apart is right to about NEAR
+NEAR = 2.0 ** -26
+
+
+def _float_sum(ws, i):
+    """`_pair_sum` on the Python complex numbers `ws`, or None where the
+    float sum may be far off: when ws[i] or the sum is not finite, or some
+    ws[j] lies within NEAR |ws[i]| of ws[i], where the roundings of the
+    copies could spoil the difference."""
+    w = ws[i]
+    s = 0
+    try:
+        near = NEAR * abs(w)
+        for j, v in enumerate(ws):
+            if j != i:
+                diff = w - v
+                if not abs(diff) > near:
+                    return None
+                s += 1 / diff
+    except OverflowError:     # abs of a complex beyond the float range
+        return None
+    return s if cmath.isfinite(s) else None
+
+
+def _aberth(cs, zz, near, eps, stall):
     """Aberth-Ehrlich sweeps on the monic polynomial with coefficients `cs`
     (low degree first), updating the iterates `zz` in place, in whatever
     arithmetic they carry: Python complex or mpc.
 
     Each sweep updates the iterates one at a time, p and p' from one Horner
-    loop.  An iterate is left where it is, its last correction not applied,
-    once that correction is at most eps (1 + |z|), or at most
-    stall (1 + |z|) without having halved since the sweep before: an
-    ill-conditioned root that stalls at rounding noise.  The pass ends when
-    every iterate is left, or after ABERTH_SWEEPS sweeps.  Returns p at each
-    final iterate, None for those still moving when the sweeps ran out.
+    loop.  In the mp pass the sum of 1 / (z - w) over the other iterates w
+    is taken on `near`, Python complex copies of the iterates, each copy
+    updated when its iterate moves; an iterate whose float sum `_float_sum`
+    refuses (two copies close or equal, or beyond the float range) takes
+    the sum on `zz` instead, as the float pass (`near` None) always does.
+    The sum only steers the iteration: the disks certify the iterates
+    wherever they end.
+
+    An iterate is left where it is, its last correction not applied, once
+    that correction is at most eps (1 + |z|), or at most stall (1 + |z|)
+    without having halved since the sweep before: an ill-conditioned root
+    that stalls at rounding noise.  The pass ends when every iterate is
+    left, or after ABERTH_SWEEPS sweeps.  Returns p at each final iterate,
+    None for those still moving when the sweeps ran out.
     """
     lead, head = cs[-1], cs[-2::-1]
     values = [None] * len(zz)
@@ -60,14 +109,14 @@ def _aberth(cs, zz, eps, stall):
                 p = p * z + c
             if dp == 0:   # step off a critical point
                 zz[i] = z + eps * (1 + abs(z))
+                if near is not None:
+                    near[i] = complex(zz[i])
                 moving.append(i)
                 continue
             nwt = p / dp
-            s = 0
-            for w in zz[:i]:
-                s += 1 / (z - w)
-            for w in zz[i + 1:]:
-                s += 1 / (z - w)
+            s = None if near is None else _float_sum(near, i)
+            if s is None:
+                s = _pair_sum(zz, i)
             den = 1 - nwt * s
             corr = nwt if den == 0 else nwt / den
             step = abs(corr)
@@ -76,6 +125,8 @@ def _aberth(cs, zz, eps, stall):
                 if step > eps * scale and (step > stall * scale
                                            or 2 * step < last[i]):
                     zz[i] = z - corr
+                    if near is not None:
+                        near[i] = complex(zz[i])
                     last[i] = step
                     moving.append(i)
                     continue
@@ -97,7 +148,7 @@ def _float_start(monic):
         cs = [float(c) for c in monic]
         radius = abs(cs[0]) ** (1 / d) or 1.0
         zz = [radius * w for w in _circle(d)]
-        _aberth(cs, zz, 2.0 ** -50, 2.0 ** -25)
+        _aberth(cs, zz, None, 2.0 ** -50, 2.0 ** -25)
     except (OverflowError, ZeroDivisionError):
         return None
     if all(map(cmath.isfinite, zz)) and len(set(zz)) == d:
@@ -136,6 +187,97 @@ def _modulus_sum_up(moduli, z):
     return mpm.ldexp(acc, -P)
 
 
+def _floor_scaled(x, P):
+    """floor(x 2^P) for a raw libmp mpf x."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    return man << (exp + P) if exp + P >= 0 else man >> -(exp + P)
+
+
+def _separations(zz, P):
+    """The table L with L[i][j] = isqrt(dX^2 + dY^2) - 3 <= 2^P |z_i - z_j|
+    for i != j and L[i][i] = 1, where X_k and Y_k are floor(2^P Re z_k) and
+    floor(2^P Im z_k) of the mpc iterates `zz`.
+
+    Proof of the bound: 2^P Re z_k = X_k + a_k and 2^P Im z_k = Y_k + b_k
+    with a_k, b_k in [0, 1), so 2^P (z_i - z_j) = (dX + i dY) + (da + i db)
+    with |da|, |db| < 1, and the triangle inequality gives
+    2^P |z_i - z_j| > sqrt(dX^2 + dY^2) - sqrt(2) > isqrt(dX^2 + dY^2) - 3.
+    """
+    grid = [(_floor_scaled(re, P), _floor_scaled(im, P))
+            for re, im in (z._mpc_ for z in zz)]
+    d = len(grid)
+    L = [[1] * d for _ in range(d)]
+    for i, (x, y) in enumerate(grid):
+        row = L[i]
+        for j in range(i + 1, d):
+            u, v = grid[j]
+            row[j] = L[j][i] = math.isqrt((x - u) ** 2 + (y - v) ** 2) - 3
+    return L
+
+
+def _weierstrass_radii(zz, nums, prec, tol):
+    """Float radii, each below tol, of pairwise disjoint disks around the
+    mpc iterates `zz` that hold one root each of the exact monic polynomial
+    p*; None when the table of `_separations` has an entry <= 0, a radius
+    reaches tol, or two disks may meet.  nums[i] is the mpf
+    |p(z_i)| + gamma sum_k |c_k| |z_i|^k, gamma = 64 (d + 1) 2^(1 - prec),
+    taken at precision prec on the mp coefficients c_k.
+
+    Proof.  Horner's rounding of p(z_i) and that of the coefficients stay
+    below gamma sum |c_k| |z_i|^k (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 5.1), so |p*(z_i)| is at most
+    |p(z_i)| + gamma sum |c_k| |z_i|^k.  Each term of nums[i] is rounded
+    to nearest once (the modulus; the product of gamma and the exact mpf of
+    `_modulus_sum_up`), and so is their sum, each within 2^-prec relative,
+    so nums[i] is at least (1 - 2^-prec)^2 times that bound; as 2 gamma >=
+    2 2^-prec (1 + 2 gamma), (1 + 2 gamma) nums[i] >= |p*(z_i)|.
+
+    With the grid 2^-P, P = prec + 8, and 0 < L_ij <= 2^P |z_i - z_j| for
+    j != i, the exact rational
+
+        d (1 + 2 gamma) nums[i] 2^(P (d - 1)) / prod_(j != i) L_ij
+
+    is at least d |p*(z_i)| / prod_(j != i) |z_i - z_j| = d |W_i|, d times
+    the Weierstrass correction, and the radius r_i is that rational rounded
+    up to a float (`numutil.ratio_up`).  The disks of radius d |W_i| hold
+    every root of p*, a connected union of m of them exactly m (Carstensen,
+    Numer. Math. 59, 1991), so pairwise disjoint disks hold one root each.
+    Disks i and j are disjoint when L_ij > R_i + R_j for R_k =
+    ceil(2^P r_k), since then 2^P |z_i - z_j| >= L_ij > 2^P (r_i + r_j).
+    Nothing rounds but the one step to the float r_i.
+    """
+    d = len(zz)
+    P = prec + 8
+    L = _separations(zz, P)
+    if min(map(min, L)) <= 0:
+        return None
+    grow = d * ((1 << prec) + 256 * (d + 1))   # d (1 + 2 gamma) 2^prec
+    shift = P * (d - 1) - prec
+    tn, td = tol.as_integer_ratio()
+    radii = []
+    for num, row in zip(nums, L):
+        _, man, exp, _ = num._mpf_
+        n, den = grow * man, math.prod(row)
+        if exp + shift >= 0:
+            n <<= exp + shift
+        else:
+            den <<= -(exp + shift)
+        if n * td >= tn * den:   # beyond tol, or beyond the float range
+            return None
+        radii.append(ratio_up(n, den))
+    if max(radii, default=0.0) >= tol:
+        return None
+    R = [-(-(a << P) // b) for a, b in map(float.as_integer_ratio, radii)]
+    for i in range(d):
+        row, Ri = L[i], R[i]
+        for j in range(i + 1, d):
+            if row[j] <= Ri + R[j]:
+                return None
+    return radii
+
+
 def certified_roots_mp(coeffs, tol):
     """Aberth-Ehrlich with a posteriori Weierstrass disks.
 
@@ -144,7 +286,8 @@ def certified_roots_mp(coeffs, tol):
     returned disks contains all roots and disks are pairwise disjoint, so
     each contains exactly one.  The mp pass starts from the float pass of
     `_float_start`, or from the Cauchy circle when that has none, and each
-    rung of the precision ladder from the iterates of the one before.
+    rung of the precision ladder from the iterates of the one before; the
+    disks are those of `_weierstrass_radii`.
     """
     import mpmath as mpm
     from mpmath.libmp import mpf_abs
@@ -161,36 +304,17 @@ def certified_roots_mp(coeffs, tol):
                 zz = [radius * w for w in _circle(d)]
             zz = [mpm.mpc(w) for w in zz]
             bits = int((dps - 6) * math.log2(10))   # eps = 10^(6 - dps)
-            values = _aberth(cs, zz, mpm.ldexp(1, -bits),
-                             mpm.ldexp(1, -bits // 2))
-
-            # Horner's rounding of p(z) and that of the coefficients stay
-            # below gamma sum |c_k| |z|^k; one more factor 1 + gamma covers
-            # the roundings of the product and the quotient, and one the
-            # roundings of the disjointness test (Higham, Accuracy and
-            # Stability of Numerical Algorithms, 2nd ed., 5.1)
-            gamma = mpm.ldexp(64 * (d + 1), 1 - mpm.mp.prec)
-            grow = d * (1 + 2 * gamma)
+            values = _aberth(cs, zz, [complex(z) for z in zz],
+                             mpm.ldexp(1, -bits), mpm.ldexp(1, -bits // 2))
+            prec = mpm.mp.prec
+            gamma = mpm.ldexp(64 * (d + 1), 1 - prec)
             moduli = [_fixed_up(mpf_abs(c._mpf_), MODULUS_BITS) for c in cs]
-            radii = []
-            for i in range(d):
-                den = mpm.mpc(1)
-                for j in range(d):
-                    if j != i:
-                        den *= zz[i] - zz[j]
-                if den == 0:
-                    radii = None
-                    break
-                value = values[i] if values[i] is not None \
-                    else horner(cs, zz[i])
-                num = abs(value) + gamma * _modulus_sum_up(moduli, zz[i])
-                radii.append(num / abs(den) * grow)
-            if radii is not None:
-                disjoint = all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
-                               for i in range(d) for j in range(i + 1, d))
-                if disjoint and max(radii, default=mpm.mpf(0)) < tol:
-                    return zz, [float_up(Fraction(r.man) * Fraction(2) ** r.exp)
-                                for r in radii]
+            nums = [abs(horner(cs, z) if v is None else v)
+                    + gamma * _modulus_sum_up(moduli, z)
+                    for z, v in zip(zz, values)]
+        radii = _weierstrass_radii(zz, nums, prec, tol)
+        if radii is not None:
+            return zz, radii
         dps *= 2
     raise RepeatedRootError(
         "root certification failed; inputs may be non-squarefree or "

@@ -549,6 +549,15 @@ class TestRejections:
                                        capsys)
         assert code == 1 and data["error"] == "InvalidInputError"
 
+    def test_power_beyond_the_bit_cap(self, capsys):
+        # (2B + 1)^(k+1) would have about 242559 bits, and the count would
+        # take it for each of millions of g: refused before the sieve
+        start = time.monotonic()
+        code, data = self.rejected(["schanuel", "--k", "10000", "--B", "1e7"],
+                                   capsys)
+        assert time.monotonic() - start < 1
+        assert code == 1 and data["error"] == "ResourceLimitError"
+
     def test_log_height_bound_beyond_cap(self, capsys):
         code, data = self.rejected(["enumerate", "--k", "1", "--B", "1000"],
                                    capsys)

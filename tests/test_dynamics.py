@@ -746,3 +746,79 @@ class TestBoundsRoundedUp:
                     unit = R * mpm.log(p) / (d - 1)
                     K = int(mpm.nint(mpm.log(unit / tail) / mpm.log(d)))
                 self.above(tail, unit / mpm.mpf(d) ** K)
+
+
+def ec_add(P, Q, a):
+    """P + Q on y^2 = x^3 + a x + b in exact rationals; None is the point at
+    infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and y1 == -y2:
+        return None
+    lam = (3 * x1 * x1 + a) / (2 * y1) if P == Q else (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    return x3, lam * (x1 - x3) - y1
+
+
+def lattes(a, b):
+    """x(2P) on y^2 = x^3 + a x + b: (x^4 - 2a x^2 - 8b x + a^2) / (4 (x^3 +
+    a x + b)), whose canonical height is the Neron-Tate height of the point
+    (in the normalization without the factor 1/2)."""
+    return make_map((1, 0, -2 * a, -8 * b, a * a), (0, 4, 0, 4 * a, 4 * b))
+
+
+class TestLattes:
+    """Canonical heights of Lattes maps against the group law of the curve:
+    facts that do not come from iterating f.  Each identity closes within
+    the summed stated errors of both routes."""
+
+    TOL = 1e-10
+
+    def routes(self, f, x):
+        """(value, error) of the local and of the global route at x."""
+        pt = ProjPointQ((x.numerator, x.denominator))
+        loc = canonical_height_local(f, pt, self.TOL)
+        glob = canonical_height_global(f, pt, self.TOL)
+        assert not glob.budget_exhausted
+        assert loc.total_error <= self.TOL and glob.error <= self.TOL
+        return [(loc.total, loc.total_error), (glob.value, glob.error)]
+
+    def test_37a1_square_law_and_regulator(self):
+        # 37a1 as y^2 = x^3 - 16x + 16, generator P = (0, 4) of rank 1
+        a, b = -16, 16
+        f = lattes(a, b)
+        P = (Fraction(0), Fraction(4))
+        nP, multiples = None, {}
+        for n in range(1, 13):
+            nP = ec_add(nP, P, a)
+            multiples[n] = nP
+        one = self.routes(f, P[0])
+        for v, e in one:   # the published regulator, to its 16 digits
+            assert abs(v - 0.0511114082399688) <= e + 1e-16
+        for n in (1, 2, 3, 4, 5, 6, 7, 9, 12):
+            for (v, e), (v1, e1) in zip(self.routes(f, multiples[n][0]), one):
+                assert abs(v - n * n * v1) <= e + n * n * e1, n
+
+    def test_389a1_parallelogram_law(self):
+        # 389a1 as y^2 = x^3 - 3024x + 46224, generators of rank 2
+        a, b = -3024, 46224
+        f = lattes(a, b)
+        P, Q = (Fraction(-24), Fraction(324)), (Fraction(12), Fraction(108))
+        minus_Q = (Q[0], -Q[1])
+        pts = [ec_add(P, Q, a), ec_add(P, minus_Q, a), P, Q]
+        for x, y in pts:
+            assert y * y == x ** 3 + a * x + b
+        for (s, es), (d, ed), (p, ep), (q, eq) in zip(
+                *(self.routes(f, x) for x, _ in pts)):
+            assert abs(s + d - 2 * p - 2 * q) <= es + ed + 2 * ep + 2 * eq
+
+    def test_torsion_has_height_zero(self):
+        # y^2 = x^3 + 1 has rational torsion of order 6: (-1, 0) of order
+        # 2, (0, +-1) of order 3 and (2, +-3) of order 6
+        f = lattes(0, 1)
+        for x in (-1, 0, 2):
+            for v, e in self.routes(f, Fraction(x)):
+                assert abs(v) <= e, x

@@ -635,8 +635,8 @@ class TestRootStart:
         import arithdyn.roots as roots
         aberth = roots._aberth
 
-        def spoilt(cs, zz, eps, stall):
-            values = aberth(cs, zz, eps, stall)
+        def spoilt(cs, zz, near, eps, stall):
+            values = aberth(cs, zz, near, eps, stall)
             if isinstance(zz[0], complex):
                 zz[:] = spoil(zz)
             return values
@@ -647,3 +647,96 @@ class TestRootStart:
         zz, radii = certified_roots_mp([Fraction(c) for c in P.coeffs], 1e-12)
         assert sorted(float(z.real) for z in zz) == pytest.approx(
             [-math.sqrt(2), math.sqrt(2)], abs=1e-15)
+
+
+class TestMixedPrecision:
+    """The mp pass outside Horner: Aberth sums on float copies of the
+    iterates, with an mp fallback, and Weierstrass radii on integers."""
+
+    @staticmethod
+    def check_separations(zz, P):
+        # isqrt(dX^2 + dY^2) - 3 <= 2^P |z_i - z_j| < isqrt(...) + 3, the
+        # distance at 60 digits
+        from arithdyn.roots import _separations
+        L = _separations(zz, P)
+        d = len(zz)
+        with mpm.workdps(60):
+            for i in range(d):
+                assert L[i][i] == 1
+                for j in range(i + 1, d):
+                    exact = mpm.ldexp(abs(zz[i] - zz[j]), P)
+                    assert L[i][j] == L[j][i] <= exact < L[i][j] + 6, (i, j)
+
+    def test_separations_are_lower_bounds(self):
+        rng = random.Random(21)
+        solved = [certified_roots_mp(_monic(cyclotomic(105)), 1e-12)[0]]
+        while len(solved) < 10:
+            d = rng.randint(2, 48)
+            P = IntPoly(tuple(rng.randint(-10, 10) for _ in range(d))
+                        + (rng.randint(1, 3),))
+            if P.is_squarefree():
+                solved.append(P.certified_roots(1e-12)[0])
+        for zz in solved:
+            # the grid of the solver's first rung, and coarser grids where
+            # the floor truncates every part
+            for P in (103 + 8, 64, 40):
+                self.check_separations(zz, P)
+
+    @staticmethod
+    def certify_apart(P, roots, monkeypatch):
+        """Certified roots of P, each disk holding one of `roots` at 60
+        digits; and the iterates whose Aberth sums were taken in mp."""
+        import arithdyn.roots as mod
+        pair_sum, in_mp = mod._pair_sum, []
+
+        def recorded(ws, i):
+            if not isinstance(ws[i], complex):
+                in_mp.append(i)
+            return pair_sum(ws, i)
+
+        monkeypatch.setattr(mod, "_pair_sum", recorded)
+        zz, radii = certified_roots_mp([Fraction(c) for c in P.coeffs], 1e-12)
+        assert all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
+                   for i in range(len(zz)) for j in range(i))
+        with mpm.workdps(60):
+            for root in roots:
+                assert sum(abs(z - root) <= r for z, r in zip(zz, radii)) == 1
+        return zz, sorted(set(in_mp))
+
+    def test_real_roots_that_coincide_as_floats(self, monkeypatch):
+        # (X - 1)(10^20 X - 10^20 - 1): the roots 1 and 1 + 10^-20 are both
+        # 1.0 as floats, and so is the float pass's polynomial (X - 1)^2;
+        # the float copies of the two iterates stay too close for a float sum
+        P = IntPoly((10 ** 20 + 1, -(2 * 10 ** 20 + 1), 10 ** 20))
+        assert P.is_squarefree()
+        with mpm.workdps(60):
+            roots = (mpm.mpf(1), 1 + mpm.mpf(10) ** -20)
+        zz, in_mp = self.certify_apart(P, roots, monkeypatch)
+        assert in_mp == [0, 1] and complex(zz[0]).real == complex(zz[1]).real
+
+    def test_iterates_that_coincide_as_floats(self, monkeypatch):
+        # (X^2 - 2X + 2)(X^2 - 2(1 + e)X + 2(1 + e)^2), e = 10^-20: the
+        # iterates of 1 + i and (1 + i)(1 + e), and of their conjugates, end
+        # with equal float copies
+        E = 10 ** 20
+        P = IntPoly((2, -2, 1)) * IntPoly((2 * (E + 1) ** 2, -2 * (E + 1) * E,
+                                           E * E))
+        assert P.is_squarefree()
+        with mpm.workdps(60):
+            e = mpm.mpf(10) ** -20
+            roots = [mpm.mpc(1, s) * t for s in (1, -1) for t in (1, 1 + e)]
+        zz, in_mp = self.certify_apart(P, roots, monkeypatch)
+        assert in_mp == [0, 1, 2, 3]
+        assert sorted(map(complex, zz), key=lambda w: w.imag) == \
+            [1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j]
+
+    def test_float_sums_refuse_close_copies(self):
+        from arithdyn.roots import NEAR, _float_sum, _pair_sum
+        ws = [1 + 1j, 2.0, -3j]
+        assert _float_sum(ws, 0) == _pair_sum(ws, 0)
+        for bad in ([1.0, 1.0, 2.0],                       # equal
+                    [1.0, 1 + NEAR / 2, 2.0],              # within NEAR
+                    [complex(math.inf, 0), 1.0, 2.0],      # beyond the range
+                    [complex(math.nan, 0), 1.0, 2.0]):
+            assert _float_sum(bad, 0) is None, bad
+        assert _float_sum([1.0, 1 + 2 * NEAR, 2.0], 0) is not None

@@ -38,6 +38,19 @@ def brute_force_points(k, Hmax):
     return seen
 
 
+def log_ceil(H):
+    """The least float >= log H, decided at 50 digits."""
+    import mpmath as mpm
+    b = math.log(H)
+    with mpm.workdps(50):
+        exact = mpm.log(H)
+        while mpm.mpf(math.nextafter(b, -math.inf)) >= exact:
+            b = math.nextafter(b, -math.inf)
+        while mpm.mpf(b) < exact:
+            b = math.nextafter(b, math.inf)
+    return b
+
+
 class TestHeight:
     def test_examples(self):
         assert height(ProjPointQ((1, 0))) == 0.0
@@ -76,7 +89,7 @@ class TestEnumeration:
     def test_h_le_2_matches_oracle(self):
         # brute-force count over |a|,|b| <= 2 coprime modulo sign gives 8
         want = brute_force_points(1, 2)
-        got = {p.coords for p in enumerate_points(1, math.log(2))}
+        got = {p.coords for p in enumerate_points(1, log_ceil(2))}
         assert got == want
         assert len(got) == 8
 
@@ -87,7 +100,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("k,Hmax", [(1, 3), (1, 5), (2, 3), (2, 5)])
     def test_matches_brute_force(self, k, Hmax):
         want = brute_force_points(k, Hmax)
-        got = {p.coords for p in enumerate_points(k, math.log(Hmax))}
+        got = {p.coords for p in enumerate_points(k, log_ceil(Hmax))}
         assert got == want
         assert count_points(k, Hmax) == len(want)
 
@@ -101,6 +114,22 @@ class TestEnumeration:
             enumerate_points(2, 8.0)
         assert exc.value.bound > 0
 
+    def test_bound_decided_exactly(self):
+        # B one ulp either side of log m: H <= e^B holds up to m or m - 1
+        from arithdyn.projective import _hmax_from_log_bound
+        for m in range(2, 10 ** 4 + 1):
+            up = log_ceil(m)
+            assert _hmax_from_log_bound(up) == m, m
+            assert _hmax_from_log_bound(math.nextafter(up, 0.0)) == m - 1, m
+        assert _hmax_from_log_bound(0.0) == 1
+        assert _hmax_from_log_bound(-1e-300) == 0
+
+    def test_nothing_above_the_bound(self):
+        # math.log(7) - 1e-13 < log 7: no point of height 7
+        pts = enumerate_points(1, math.log(7) - 1e-13)
+        assert max(p.H() for p in pts) == 6
+        assert len(pts) == count_points(1, 6)
+
     def test_shells_partition_enumeration(self):
         from arithdyn.projective import points_on_shell
         for k in (1, 2):
@@ -109,7 +138,7 @@ class TestEnumeration:
                 shells.append(sorted(p.coords for p in points_on_shell(k, m)))
             merged = sorted(c for sh in shells for c in sh)
             assert len(set(merged)) == len(merged)  # disjoint shells
-            want = sorted(p.coords for p in enumerate_points(k, math.log(4)))
+            want = sorted(p.coords for p in enumerate_points(k, log_ceil(4)))
             assert merged == want
             for m, sh in enumerate(shells, start=1):
                 assert all(max(abs(c) for c in t) == m for t in sh)
@@ -128,6 +157,16 @@ class TestSchanuel:
     def test_needs_b_at_least_2(self):
         with pytest.raises(InvalidInputError):
             schanuel_ratio(1, 1)
+
+    def test_power_bits_capped(self):
+        from arithdyn.projective import POWER_BITS_CAP
+        for k, B in ((10000, 10 ** 7), (60000, 2)):
+            assert (k + 1) * math.log2(2 * B + 1) > POWER_BITS_CAP
+            with pytest.raises(ResourceLimitError):
+                schanuel_ratio(k, B)
+        # just below the cap: the coprime tuples in [-2, 2]^(k+1) up to sign
+        assert 56001 * math.log2(5) < POWER_BITS_CAP
+        assert count_points(56000, 2) == (5 ** 56001 - 3 ** 56001) // 2
 
     def test_needs_k_at_least_1(self):
         # zeta(k + 1) has its pole at k = 0
