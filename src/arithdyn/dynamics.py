@@ -214,33 +214,74 @@ def iterate(f: RationalMap, x: ProjPointQ, n_max=1000, height_cap=60.0,
 def padic_gcd_valuations(f: RationalMap, x: ProjPointQ, p, K):
     """[v_p(g_1), ..., v_p(g_K)] along the gcd-reduced orbit of x.
 
-    Works modulo a power of p only: each v_p(g) is at most v_p(Res), so the
-    whole ledger costs O(K v_p(Res)) digits instead of the d^K digits of the
-    exact orbit.
+    Works on residues modulo a power p^m of p, on a precision ladder that
+    starts at m = 2(R + 1), R = v_p(Res), and doubles m, up to the fixed
+    m_K = (R + 1)(K + 2) + 4, whenever a rung runs out of digits
+    (`_ledger_rung`).  A step carries at most m digits, and m is doubled
+    only when the valuations so far sum to more than m - R - 2, so the last
+    rung has m < 2(R + 2 + sum v): each step carries O(v_p(Res) + sum v)
+    digits, not the O(K v_p(Res)) of m_K, and the moduli of the rungs
+    before the last sum to less than twice its own.  The exact orbit would
+    need d^K digits.
+
+    The valuations are exact on every rung, so each equals the one that m_K
+    gives.  Let (a_k, b_k) be the exact gcd-reduced orbit.  The track holds
+    residues of u_k (a_k, b_k) for a p-adic unit u_k (it divides by p^v
+    only, and U, V are homogeneous, so a unit factor leaves every valuation
+    alone), and one of u_k a_k, u_k b_k is a unit.  Hence v_p(g_(k+1)) =
+    min(v_p U, v_p V) at that pair, and it is at most R because the gcd of
+    U and V at a coprime pair divides Res.  If the pair is known mod p^n, so
+    are its U and V; a valuation capped at R + 1 of a residue known mod p^n
+    is exact once n >= R + 1 (a residue 0 mod p^n has true valuation >= n),
+    and a step runs only with n >= R + 2.  Dividing by p^v leaves the
+    quotient known mod p^(n - v).  So n = m - sum v before each step, and
+    on the last rung n >= m_K - RK = 2R + K + 6 >= R + 2: the last rung
+    never runs out, and the ladder ends.
     """
     R = dict(f.res_factors).get(p, 0)
     if R == 0:
         return [0] * K
-    m = (R + 1) * (K + 2) + 4
+    last = (R + 1) * (K + 2) + 4
+    m = min(2 * (R + 1), last)
+    while True:
+        vals = _ledger_rung(f, x, p, K, R, m)
+        if vals is not None:
+            return vals
+        m = min(2 * m, last)
+
+
+def _ledger_rung(f: RationalMap, x: ProjPointQ, p, K, R, m):
+    """The ledger of `padic_gcd_valuations` on residues mod p^m, or None
+    when fewer than R + 2 digits are left before a step.  U and V are
+    evaluated on one pair of power tables, reduced mod p^n as they are
+    built, so no product has much more than 2n digits before its reduction."""
+    d = f.degree
+    cu, cv = f.U.coeffs, f.V.coeffs
     mod = p ** m
     a, b = x.coords
     a %= mod
     b %= mod
     vals = []
 
-    def val_capped(n, cap):
+    def val_capped(n):
         if n == 0:
-            return cap
+            return R + 1
         v = 0
-        while n % p == 0 and v < cap:
+        while n % p == 0 and v <= R:
             n //= p
             v += 1
         return v
 
     for _ in range(K):
-        A = f.U(a, b) % mod
-        B = f.V(a, b) % mod
-        v = min(val_capped(A, R + 1), val_capped(B, R + 1))
+        if m < R + 2:
+            return None
+        ap, bp = [1], [1]
+        for _ in range(d):
+            ap.append(ap[-1] * a % mod)
+            bp.append(bp[-1] * b % mod)
+        A = sum(c * ap[d - i] * bp[i] for i, c in enumerate(cu) if c) % mod
+        B = sum(c * ap[d - i] * bp[i] for i, c in enumerate(cv) if c) % mod
+        v = min(val_capped(A), val_capped(B))
         if v > R:
             raise RuntimeError("gcd valuation must divide the resultant")
         vals.append(v)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
@@ -20,6 +20,7 @@ from .numutil import (Value, log_dyadic, log_up, parse_rational, reported,
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
 COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entries
 POWER_BITS_CAP = 1 << 17     # bits of (2 Hmax + 1)^(k+1), count_points' largest power
+POWER_SUM_BITS_CAP = 1 << 25  # bits of count_points' distinct powers together
 
 
 def _normalize_coords(coords):
@@ -90,13 +91,30 @@ def _mobius_sieve(n):
     return mu
 
 
+def _distinct_quotients(Hmax):
+    """(q, lo, hi) for each distinct q = Hmax // g, g = 1..Hmax, decreasing
+    in q, where [lo, hi] is the block of g with that quotient; there are at
+    most 2 sqrt(Hmax) of them."""
+    g = 1
+    while g <= Hmax:
+        q = Hmax // g
+        hi = Hmax // q
+        yield q, g, hi
+        g = hi + 1
+
+
 def count_points(k, Hmax):
     """Exact number of points of P^k(Q) with exponential height <= Hmax.
 
     Mobius count of coprime tuples in the box [-Hmax, Hmax]^(k+1), halved
-    for the sign identification.  Raises ResourceLimitError when Hmax
-    exceeds COUNT_CAP, or the largest power (2 Hmax + 1)^(k+1) has more
-    than POWER_BITS_CAP bits, before the sieve is allocated.
+    for the sign identification: the sum over g <= Hmax of
+    mu(g) ((2 (Hmax // g) + 1)^(k+1) - 1).  The g with one quotient
+    q = Hmax // g form a block, so the count takes one power per distinct
+    q, at most 2 sqrt(Hmax) of them, weighted by the sum of mu over the
+    block, read off the sieve in one pass.  Raises ResourceLimitError, before
+    the sieve is allocated, when Hmax exceeds COUNT_CAP, when the largest
+    power (2 Hmax + 1)^(k+1) has more than POWER_BITS_CAP bits, or when the
+    distinct powers have more than POWER_SUM_BITS_CAP bits together.
     """
     if Hmax < 1:
         return 0
@@ -108,12 +126,19 @@ def count_points(k, Hmax):
         raise ResourceLimitError(
             bits, f"counting in P^{k} to H = {Hmax} takes a power of "
             f"{bits:.0f} bits, beyond the cap {POWER_BITS_CAP}")
-    mu = _mobius_sieve(Hmax)
+    blocks = list(_distinct_quotients(Hmax))
+    bits = (k + 1) * sum(math.log2(2 * q + 1) for q, _, _ in blocks)
+    if bits > POWER_SUM_BITS_CAP:
+        raise ResourceLimitError(
+            bits, f"counting in P^{k} to H = {Hmax} takes powers of "
+            f"{bits:.0f} bits together, beyond the cap {POWER_SUM_BITS_CAP}")
+    mu = iter(_mobius_sieve(Hmax))
+    next(mu)                      # the entry of g = 0
     total = 0
-    for g in range(1, Hmax + 1):
-        if mu[g]:
-            side = 2 * (Hmax // g) + 1
-            total += mu[g] * (side ** (k + 1) - 1)
+    for q, lo, hi in blocks:      # consecutive blocks of increasing g
+        weight = sum(islice(mu, hi - lo + 1))
+        if weight:
+            total += weight * ((2 * q + 1) ** (k + 1) - 1)
     return total // 2
 
 

@@ -551,7 +551,8 @@ class TestRejections:
 
     def test_power_beyond_the_bit_cap(self, capsys):
         # (2B + 1)^(k+1) would have about 242559 bits, and the count would
-        # take it for each of millions of g: refused before the sieve
+        # take a power as large for each of thousands of quotients B // g:
+        # refused before the sieve
         start = time.monotonic()
         code, data = self.rejected(["schanuel", "--k", "10000", "--B", "1e7"],
                                    capsys)

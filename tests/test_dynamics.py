@@ -2,10 +2,14 @@
 
 import math
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from arithdyn import dynamics
 from arithdyn.dynamics import (RationalMap,
                                canonical_height_global,
                                canonical_height_local,
@@ -21,6 +25,44 @@ from arithdyn.projective import ProjPointQ
 def make_map(u, v):
     d = len(u) - 1
     return RationalMap(BinaryForm(d, u), BinaryForm(d, v))
+
+
+def single_modulus_ledger(f, x, p, K):
+    """The p-adic gcd ledger on the one modulus p^m, m = (R + 1)(K + 2) + 4,
+    R = v_p(Res), that bounds every rung of `padic_gcd_valuations`: the
+    oracle for its precision ladder."""
+    R = dict(f.res_factors).get(p, 0)
+    if R == 0:
+        return [0] * K
+    m = (R + 1) * (K + 2) + 4
+    mod = p ** m
+    a, b = x.coords
+    a %= mod
+    b %= mod
+    vals = []
+
+    def val_capped(n, cap):
+        if n == 0:
+            return cap
+        v = 0
+        while n % p == 0 and v < cap:
+            n //= p
+            v += 1
+        return v
+
+    for _ in range(K):
+        A = f.U(a, b) % mod
+        B = f.V(a, b) % mod
+        v = min(val_capped(A, R + 1), val_capped(B, R + 1))
+        assert v <= R
+        vals.append(v)
+        if v:
+            m -= v
+            mod = p ** m
+            A //= p ** v
+            B //= p ** v
+        a, b = A % mod, B % mod
+    return vals
 
 
 POWER2 = make_map((1, 0, 0), (0, 0, 1))           # z^2
@@ -156,6 +198,56 @@ class TestPadicLedger:
     def test_good_reduction_gives_zeros(self):
         vals = padic_gcd_valuations(Z2P1, ProjPointQ((3, 5)), 7, 20)
         assert vals == [0] * 20
+
+    def test_ladder_matches_single_modulus(self, monkeypatch):
+        # every bad prime of random maps of degree 2-5 and of Lattes maps,
+        # at orbit lengths up to 33; some ledgers climb past their first rung
+        rungs = []
+        rung = dynamics._ledger_rung
+
+        def counted(f, x, p, K, R, m):
+            vals = rung(f, x, p, K, R, m)
+            rungs.append(vals is None)
+            return vals
+
+        monkeypatch.setattr(dynamics, "_ledger_rung", counted)
+        rng = random.Random(22)
+        maps = [random_map(rng, d) for d in (2, 3, 4, 5) * 15]
+        maps += [lattes(a, b) for a, b in ((-16, 16), (0, 1), (-3024, 46224),
+                                           (-2, 3), (5, -7))]
+        calls = 0
+        for f in maps:
+            x = ProjPointQ((rng.randint(-50, 50), rng.randint(1, 50)))
+            for K in (0, 1, 5, 20, 33):
+                for p in f.bad_primes:
+                    assert (padic_gcd_valuations(f, x, p, K)
+                            == single_modulus_ledger(f, x, p, K)), (f, x, p, K)
+                    calls += 1
+        assert calls > 500 and any(rungs)
+
+    def test_restart_on_a_second_rung(self, monkeypatch):
+        # Res = -2^4 7559: from (45, 8) the 2-adic valuations alternate 1, 0,
+        # so the first rung, m = 2(4 + 1) = 10, has fewer than R + 2 = 6
+        # digits left after the fifth 1, and the ledger restarts at m = 20
+        f = make_map((-8, -2, 7, -5), (-2, 2, -8, 4))
+        assert f.res == -2 ** 4 * 7559
+        moduli = []
+        rung = dynamics._ledger_rung
+
+        def counted(f, x, p, K, R, m):
+            moduli.append(m)
+            return rung(f, x, p, K, R, m)
+
+        monkeypatch.setattr(dynamics, "_ledger_rung", counted)
+        x = ProjPointQ((45, 8))
+        vals = padic_gcd_valuations(f, x, 2, 15)
+        assert vals == [1, 0] * 7 + [1] and sum(vals) == 8
+        assert moduli == [10, 20]
+        assert vals == single_modulus_ledger(f, x, 2, 15)
+        assert padic_gcd_valuations(f, x, 7559, 15) == \
+            single_modulus_ledger(f, x, 7559, 15)
+        rec = iterate(f, x, n_max=6, height_cap=1e9)
+        assert orbit_gcds(f, x, len(rec.gcds)) == rec.gcds
 
 
 class TestCanonicalHeightGlobal:
@@ -814,6 +906,26 @@ class TestLattes:
         for (s, es), (d, ed), (p, ep), (q, eq) in zip(
                 *(self.routes(f, x) for x, _ in pts)):
             assert abs(s + d - 2 * p - 2 * q) <= es + ed + 2 * ep + 2 * eq
+
+    @settings(max_examples=60, deadline=timedelta(seconds=10))
+    @given(st.integers(-9, 9), st.integers(-9, 9))
+    def test_square_law_on_small_curves(self, a, b):
+        # a point of y^2 = x^3 + a x + b with |x| <= 20, y > 0 found by
+        # search; 2P and 3P in exact rationals, so x(3P) is no iterate
+        assume(4 * a ** 3 + 27 * b ** 2 != 0)
+        P = next(((Fraction(x), Fraction(math.isqrt(r)))
+                  for x in range(-20, 21)
+                  for r in (x ** 3 + a * x + b,)
+                  if r > 0 and math.isqrt(r) ** 2 == r), None)
+        assume(P is not None)
+        P2 = ec_add(P, P, a)
+        P3 = ec_add(P2, P, a)
+        assume(P3 is not None)    # P of order 3
+        f = lattes(a, b)
+        one = self.routes(f, P[0])
+        for n, nP in ((2, P2), (3, P3)):
+            for (v, e), (v1, e1) in zip(self.routes(f, nP[0]), one):
+                assert abs(v - n * n * v1) <= e + n * n * e1, (n, v, v1)
 
     def test_torsion_has_height_zero(self):
         # y^2 = x^3 + 1 has rational torsion of order 6: (-1, 0) of order

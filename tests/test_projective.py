@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -167,6 +168,30 @@ class TestSchanuel:
         # just below the cap: the coprime tuples in [-2, 2]^(k+1) up to sign
         assert 56001 * math.log2(5) < POWER_BITS_CAP
         assert count_points(56000, 2) == (5 ** 56001 - 3 ** 56001) // 2
+
+    def test_one_power_per_quotient(self):
+        # the sum over every g <= H, one power per g, as count_points took
+        # it before grouping g by H // g
+        from arithdyn.projective import _mobius_sieve
+        for H in range(0, 301):
+            mu = _mobius_sieve(H)
+            for k in range(0, 4):
+                per_g = sum(mu[g] * ((2 * (H // g) + 1) ** (k + 1) - 1)
+                            for g in range(1, H + 1)) // 2
+                assert count_points(k, H) == per_g, (k, H)
+
+    def test_power_sum_bits_capped(self):
+        # every power is below POWER_BITS_CAP, but the distinct ones hold
+        # more than POWER_SUM_BITS_CAP bits together: refused before the
+        # sieve is allocated
+        from arithdyn.projective import POWER_BITS_CAP, POWER_SUM_BITS_CAP
+        for k, H in ((3000, 10 ** 6), (1000, 10 ** 7)):
+            assert (k + 1) * math.log2(2 * H + 1) < POWER_BITS_CAP
+            start = time.monotonic()
+            with pytest.raises(ResourceLimitError) as exc:
+                count_points(k, H)
+            assert time.monotonic() - start < 1
+            assert exc.value.bound > POWER_SUM_BITS_CAP
 
     def test_needs_k_at_least_1(self):
         # zeta(k + 1) has its pole at k = 0
