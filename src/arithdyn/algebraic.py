@@ -67,7 +67,7 @@ class MahlerResult(NamedTuple):
     measure_error: float
 
 
-MAHLER_PREC = 128  # bits of the directed products, scale 2^-128 of the logs
+MAHLER_PREC = 128  # scale 2^-128 of the products and of their logs
 
 
 def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
@@ -75,13 +75,14 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
 
     The roots are those of P's primitive part; a_0 = `leading_coeff` is
     P's own, so M(c P) = |c| M(P).  Each root's factor lies in
-    [max(1, |z| - r), max(1, |z| + r)] for its inclusion disk (z, r), with
-    |z| the square root of its exact square.
-    The products of these ends, rounded down and up with libmp, enclose the
-    archimedean product and M; each end is a dyadic m 2^e, and
-    `numutil.log_bounds` encloses its log on integers.  `measure` and
-    `log_measure` each come with the least float that bounds their distance
-    to their enclosure (`numutil.reported`).
+    [max(1, |g| - r), max(1, |g| + r)] for its inclusion disk about the
+    exact centre g = (X + i Y) / 2^P of radius r, with |g| from the integer
+    square root of X^2 + Y^2.  The products of these ends, taken on
+    integers at the scale 2^-MAHLER_PREC and rounded down and up, enclose
+    the archimedean product; times |a_0|, exactly, they enclose M, and
+    `numutil.log_bounds` encloses the logs of both ends on integers.
+    `measure` and `log_measure` each come with the least float that bounds
+    their distance to their enclosure (`numutil.reported`).
     """
     if P.is_zero():
         raise InvalidInputError("zero polynomial has no Mahler measure")
@@ -90,40 +91,27 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
         raise RepeatedRootError(
             "non-squarefree input; take squarefree_part() first so root "
             "multiplicities are explicit")
-    from mpmath.libmp import (fone, from_float, from_int, mpf_add, mpf_gt,
-                              mpf_mul, mpf_sqrt, mpf_sub)
-    from mpmath.libmp import round_ceiling as UP
-    from mpmath.libmp import round_floor as DOWN
-
-    def at_least_one(x):
-        return x if mpf_gt(x, fone) else fone
-
-    def log_of(x):     # x a positive mpf (sign, man, exp, bc)
-        return log_bounds((), prec, (x[1], x[1]), -x[2])
-
-    def exact(x):
-        _, man, exp, _ = x
-        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-    zz, radii = Q.certified_roots(min(tol * 1e-2, 1e-13)) if Q.degree \
-        else ((), ())
+    bits, centres, radii = Q.certified_roots(min(tol * 1e-2, 1e-13)) \
+        if Q.degree else (0, (), ())
     prec = MAHLER_PREC
-    lo = hi = fone
-    for z, r in zip(zz, radii):
-        re, im = z._mpc_
-        square = mpf_add(mpf_mul(re, re), mpf_mul(im, im))   # exact
-        r = from_float(r)
-        lo = mpf_mul(lo, at_least_one(mpf_sub(
-            mpf_sqrt(square, prec, DOWN), r, prec, DOWN)), prec, DOWN)
-        hi = mpf_mul(hi, at_least_one(mpf_add(
-            mpf_sqrt(square, prec, UP), r, prec, UP)), prec, UP)
-    lead = from_int(abs(P.lead))
-    m_lo, m_hi = mpf_mul(lo, lead, prec, DOWN), mpf_mul(hi, lead, prec, UP)
-    arch = log_of(lo)[0], log_of(hi)[1]
-    # for |a_0| = 1 the products with lead are lo and hi themselves
-    log_m, err = reported(*(arch if (m_lo, m_hi) == (lo, hi) else
-                            (log_of(m_lo)[0], log_of(m_hi)[1])))
-    measure, measure_err = reported(exact(m_lo), exact(m_hi))
+    one = 1 << prec
+    lo = hi = one
+    for (x, y), radius in zip(centres, radii):
+        # |g| 2^prec = sqrt(n) 2^-bits: down and up are its floor and its
+        # ceiling, and the float radius 2^prec is exact
+        n = (x * x + y * y) << 2 * prec
+        s = math.isqrt(n)
+        down, up = s >> bits, -(-(s + (s * s < n)) >> bits)
+        r = math.ceil(math.ldexp(radius, prec))
+        lo = lo * max(one, down - r) >> prec
+        hi = -(-hi * max(one, up + r) >> prec)
+    lead = abs(P.lead)
+    arch = log_bounds((), prec, (lo, hi), prec)
+    # for |a_0| = 1 the logs of M are those of the archimedean product
+    log_m, err = reported(*(arch if lead == 1 else log_bounds(
+        (), prec, (lo * lead, hi * lead), prec)))
+    measure, measure_err = reported(Fraction(lo * lead, one),
+                                    Fraction(hi * lead, one))
     return MahlerResult(measure, log_m, err, reported(*arch)[0],
                         P.lead, measure_err)
 

@@ -178,7 +178,9 @@ def iterate(f: RationalMap, x: ProjPointQ, n_max=1000, height_cap=60.0,
 
     Stops at the first revisited point, when log-height exceeds height_cap
     (escaping; a start above the cap takes no step), or at n_max / the
-    digit budget (budget-exhausted).
+    digit budget (budget-exhausted; a step whose U and V values exceed the
+    budget is not taken).  Each step takes one gcd, in `ProjPointQ`, and
+    reads g_k off the reduced point.
     """
     pts = [x]
     gcds = []
@@ -189,11 +191,11 @@ def iterate(f: RationalMap, x: ProjPointQ, n_max=1000, height_cap=60.0,
     for k in range(n_max):
         a, b = pts[-1].coords
         A, B = f.U(a, b), f.V(a, b)
-        g = math.gcd(abs(A), abs(B))
-        A //= g
-        B //= g
+        if max(abs(A), abs(B)).bit_length() > bit_cap:
+            return OrbitRecord(pts, gcds, "budget-exhausted")
         nxt = ProjPointQ((A, B))
-        gcds.append(g)
+        a, b = nxt.coords
+        gcds.append(abs(A) // abs(a) if a else abs(B) // abs(b))
         pts.append(nxt)
         if nxt.coords in seen:
             return OrbitRecord(pts, gcds, "cycle",
@@ -202,8 +204,6 @@ def iterate(f: RationalMap, x: ProjPointQ, n_max=1000, height_cap=60.0,
         seen[nxt.coords] = k + 1
         if nxt.height() > height_cap:
             return OrbitRecord(pts, gcds, "escaping")
-        if max(abs(A), abs(B)).bit_length() > bit_cap:
-            return OrbitRecord(pts, gcds, "budget-exhausted")
     return OrbitRecord(pts, gcds, "budget-exhausted")
 
 

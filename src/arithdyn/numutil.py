@@ -10,8 +10,9 @@ Zimmermann, Modern Computer Arithmetic, 2010, 4.4), so no function here
 imports mpmath, which costs about 25 ms of a process, or takes the lock.
 `log_bounds` adds such logs into exact `Fraction` ends, and `reported`
 turns an enclosure into a float and the least float that bounds its
-distance to the enclosure.  The lock is a plain `threading.RLock` that the
-mpmath blocks of the layers above hold; holding it needs no mpmath.
+distance to the enclosure.  The lock is a plain `threading.RLock` held by
+the one mpmath block left in arithdyn, the mp Aberth sweeps of
+`roots.certified_roots_mp`; holding it needs no mpmath.
 
 Miller-Rabin on the first 13 prime bases, deterministic below
 psi_13 = 3317044064679887385961981 (about 3.3e24; Sorenson & Webster,
@@ -31,9 +32,10 @@ from operator import attrgetter
 
 from .errors import ResourceLimitError
 
-# mpmath keeps its working precision in process-global contexts; every block
-# of arithdyn that sets it holds this lock, so concurrent callers neither see
-# each other's precision nor leave a changed one behind.
+# mpmath keeps its working precision in process-global contexts; the one
+# block of arithdyn that sets it, the mp sweeps of the root finder, holds this
+# lock, so concurrent callers neither see each other's precision nor leave a
+# changed one behind.
 MP_PRECISION_LOCK = threading.RLock()
 
 

@@ -139,7 +139,9 @@ class IntPoly(Value):
         return self.exact_div(self.gcd(self.derivative())).primitive()
 
     def certified_roots(self, tol):
-        """(mpc values, float radii) of `certified_roots_mp`, kept on self.
+        """(P, centres, radii) of `certified_roots_mp`, kept on self: the
+        exact centres as integer pairs (X, Y) at the scale 2^-P, and the
+        float radii of their disks.
 
         A kept solve serves every request whose tolerance exceeds its
         largest radius, the test `certified_roots_mp` applies before it
@@ -147,12 +149,13 @@ class IntPoly(Value):
         result.  Two threads may both solve; either result is valid.
         """
         kept = self.__dict__.get("_roots")
-        if kept is not None and max(kept[1], default=0.0) < tol:
+        if kept is not None and max(kept[2], default=0.0) < tol:
             return kept
-        zz, radii = certified_roots_mp([Fraction(c) for c in self.coeffs], tol)
-        solved = (tuple(zz), tuple(radii))
+        P, centres, radii = certified_roots_mp(
+            [Fraction(c) for c in self.coeffs], tol)
+        solved = (P, tuple(centres), tuple(radii))
         kept = self.__dict__.get("_roots")
-        if kept is None or max(radii, default=0.0) < max(kept[1], default=0.0):
+        if kept is None or max(radii, default=0.0) < max(kept[2], default=0.0):
             object.__setattr__(self, "_roots", solved)
         return solved
 
@@ -478,10 +481,12 @@ def certified_roots_mp(coeffs, tol):
     """Aberth-Ehrlich with a posteriori Weierstrass disks.
 
     `coeffs` are exact Fractions low->high of a squarefree polynomial.
-    Returns (list of mpc, list of float radii rounded up); union of the
-    returned disks contains all roots and disks are pairwise disjoint, so
-    each contains exactly one.  The solver lives in `roots`, loaded here on
-    the first solve; `IntPoly.certified_roots` calls it through this name.
+    Returns (P, centres, radii): the exact centre (X + i Y) / 2^P of each
+    disk as the integer pair (X, Y), and its float radius rounded up.  The
+    union of the disks contains all roots and the disks are pairwise
+    disjoint, so each contains exactly one.  The solver lives in `roots`,
+    loaded here on the first solve; `IntPoly.certified_roots` calls it
+    through this name.
     """
     from . import roots
     return roots.certified_roots_mp(coeffs, tol)

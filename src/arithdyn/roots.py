@@ -8,16 +8,19 @@ does not compile it.  One Aberth-Ehrlich sweep function runs twice: a float
 pass on Python complex numbers, from a circle, until its corrections fall
 below a few ulps, then an mp pass on mpmath numbers from the float pass's
 iterates (from the Cauchy circle when a coefficient does not fit a float or
-the float iterates end non-finite or coincident).  The mp pass doubles
-precision until the inclusion disks, widened by a bound on the rounding of
-p(z), are pairwise disjoint and smaller than the requested tolerance.
+the float iterates end non-finite or coincident).  After each rung of the
+mp pass its iterates are floored once onto the grid 2^-P, and the grid
+points themselves are certified: Horner's rule on Gaussian integers gives
+the polynomial's value at each of them exactly, so the Weierstrass radii
+and the disjointness test run on integers with no rounding to bound
+(`_separations`, `_weierstrass_radii`).  The mp pass doubles precision
+until the disks are pairwise disjoint and smaller than the requested
+tolerance.
 
-No numpy, and mpmath for Horner only: p(z), p'(z) and the bound on the
-rounding of p(z) run on mpmath numbers under `numutil.MP_PRECISION_LOCK`.
-The mp pass takes its Aberth sums over the other iterates on Python complex
-copies of them, and the Weierstrass radii and the disjointness test run on
-integers, from the iterates floored onto a grid (`_separations`,
-`_weierstrass_radii`).
+No numpy, and mpmath for the mp sweeps only: p(z) and p'(z) on mpmath
+numbers under `numutil.MP_PRECISION_LOCK`, the sums over the other
+iterates on Python complex copies of them.  A solve returns its centres as
+pairs of integers at the scale 2^-P, with no mpmath type.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import cmath
 import math
 
 from .errors import InvalidInputError, RepeatedRootError
-from .numutil import MP_PRECISION_LOCK, horner, ratio_up
+from .numutil import MP_PRECISION_LOCK, ratio_up
 from .polyforms import CertifiedRoot
 
 ABERTH_SWEEPS = 120   # sweeps per Aberth pass, float or mp
@@ -92,11 +95,9 @@ def _aberth(cs, zz, near, eps, stall):
     that correction is at most eps (1 + |z|), or at most stall (1 + |z|)
     without having halved since the sweep before: an ill-conditioned root
     that stalls at rounding noise.  The pass ends when every iterate is
-    left, or after ABERTH_SWEEPS sweeps.  Returns p at each final iterate,
-    None for those still moving when the sweeps ran out.
+    left, or after ABERTH_SWEEPS sweeps.
     """
     lead, head = cs[-1], cs[-2::-1]
-    values = [None] * len(zz)
     last = [math.inf] * len(zz)
     live = range(len(zz))
     for _ in range(ABERTH_SWEEPS):
@@ -129,12 +130,9 @@ def _aberth(cs, zz, near, eps, stall):
                         near[i] = complex(zz[i])
                     last[i] = step
                     moving.append(i)
-                    continue
-            values[i] = p
         if not moving:
             break
         live = moving
-    return values
 
 
 def _float_start(monic):
@@ -156,120 +154,73 @@ def _float_start(monic):
     return None
 
 
-def _mpc_poly(coeffs):
-    import mpmath as mpm
-    return [mpm.mpf(c.numerator) / mpm.mpf(c.denominator) for c in coeffs]
-
-
-MODULUS_BITS = 64   # fixed-point scale 2^P of _modulus_sum_up
-
-
-def _fixed_up(x, P):
-    """ceil(x 2^P) for a raw libmp mpf x >= 0."""
-    _, man, exp, _ = x
-    return man << (exp + P) if exp + P >= 0 else -(-man >> -(exp + P))
-
-
-def _modulus_sum_up(moduli, z):
-    """An mpf >= sum_k |c_k| |z|^k for moduli[k] = _fixed_up(|c_k|, P),
-    low degree first: Horner on integers at the scale 2^P, P =
-    MODULUS_BITS, each step rounded up."""
-    import mpmath as mpm
-    from mpmath.libmp import mpf_add, mpf_mul
-    P = MODULUS_BITS
-    re, im = z._mpc_
-    n = _fixed_up(mpf_add(mpf_mul(re, re), mpf_mul(im, im)), 2 * P)
-    r = math.isqrt(n)
-    r += r * r < n        # r >= |z| 2^P
-    acc = 0
-    for m in reversed(moduli):
-        acc = -(-acc * r >> P) + m
-    return mpm.ldexp(acc, -P)
-
-
 def _floor_scaled(x, P):
-    """floor(x 2^P) for a raw libmp mpf x."""
-    sign, man, exp, _ = x
+    """floor(x 2^P) for an mpf x."""
+    sign, man, exp, _ = x._mpf_
     if sign:
         man = -man
     return man << (exp + P) if exp + P >= 0 else man >> -(exp + P)
 
 
-def _separations(zz, P):
-    """The table L with L[i][j] = isqrt(dX^2 + dY^2) - 3 <= 2^P |z_i - z_j|
-    for i != j and L[i][i] = 1, where X_k and Y_k are floor(2^P Re z_k) and
-    floor(2^P Im z_k) of the mpc iterates `zz`.
-
-    Proof of the bound: 2^P Re z_k = X_k + a_k and 2^P Im z_k = Y_k + b_k
-    with a_k, b_k in [0, 1), so 2^P (z_i - z_j) = (dX + i dY) + (da + i db)
-    with |da|, |db| < 1, and the triangle inequality gives
-    2^P |z_i - z_j| > sqrt(dX^2 + dY^2) - sqrt(2) > isqrt(dX^2 + dY^2) - 3.
-    """
-    grid = [(_floor_scaled(re, P), _floor_scaled(im, P))
-            for re, im in (z._mpc_ for z in zz)]
+def _separations(grid):
+    """The table L with L[i][j] = isqrt(dX^2 + dY^2) <= 2^P |g_i - g_j| for
+    i != j and L[i][i] = 1, for the grid points g_k = (X_k + i Y_k) / 2^P,
+    grid[k] = (X_k, Y_k)."""
     d = len(grid)
     L = [[1] * d for _ in range(d)]
     for i, (x, y) in enumerate(grid):
         row = L[i]
         for j in range(i + 1, d):
             u, v = grid[j]
-            row[j] = L[j][i] = math.isqrt((x - u) ** 2 + (y - v) ** 2) - 3
+            row[j] = L[j][i] = math.isqrt((x - u) ** 2 + (y - v) ** 2)
     return L
 
 
-def _weierstrass_radii(zz, nums, prec, tol):
+def _weierstrass_radii(a, grid, P, tol):
     """Float radii, each below tol, of pairwise disjoint disks around the
-    mpc iterates `zz` that hold one root each of the exact monic polynomial
-    p*; None when the table of `_separations` has an entry <= 0, a radius
-    reaches tol, or two disks may meet.  nums[i] is the mpf
-    |p(z_i)| + gamma sum_k |c_k| |z_i|^k, gamma = 64 (d + 1) 2^(1 - prec),
-    taken at precision prec on the mp coefficients c_k.
+    grid points g_i = (X_i + i Y_i) / 2^P, grid[i] = (X_i, Y_i), that hold
+    one root each of the integer polynomial `a` (low degree first, of degree
+    d = len(grid)); None when two grid points coincide, a radius reaches
+    tol, or two disks may meet.
 
-    Proof.  Horner's rounding of p(z_i) and that of the coefficients stay
-    below gamma sum |c_k| |z_i|^k (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 5.1), so |p*(z_i)| is at most
-    |p(z_i)| + gamma sum |c_k| |z_i|^k.  Each term of nums[i] is rounded
-    to nearest once (the modulus; the product of gamma and the exact mpf of
-    `_modulus_sum_up`), and so is their sum, each within 2^-prec relative,
-    so nums[i] is at least (1 - 2^-prec)^2 times that bound; as 2 gamma >=
-    2 2^-prec (1 + 2 gamma), (1 + 2 gamma) nums[i] >= |p*(z_i)|.
+    Proof.  Horner's rule on the Gaussian integer X_i + i Y_i, with a_k
+    scaled by 2^(P (d - k)), gives A_i + i B_i = 2^(P d) a(g_i) exactly.
+    With 0 < L_ij <= 2^P |g_i - g_j| for j != i (`_separations`), the exact
+    rational
 
-    With the grid 2^-P, P = prec + 8, and 0 < L_ij <= 2^P |z_i - z_j| for
-    j != i, the exact rational
+        d ceil(sqrt(A_i^2 + B_i^2)) / (|a_d| 2^P prod_(j != i) L_ij)
 
-        d (1 + 2 gamma) nums[i] 2^(P (d - 1)) / prod_(j != i) L_ij
-
-    is at least d |p*(z_i)| / prod_(j != i) |z_i - z_j| = d |W_i|, d times
-    the Weierstrass correction, and the radius r_i is that rational rounded
-    up to a float (`numutil.ratio_up`).  The disks of radius d |W_i| hold
-    every root of p*, a connected union of m of them exactly m (Carstensen,
-    Numer. Math. 59, 1991), so pairwise disjoint disks hold one root each.
-    Disks i and j are disjoint when L_ij > R_i + R_j for R_k =
-    ceil(2^P r_k), since then 2^P |z_i - z_j| >= L_ij > 2^P (r_i + r_j).
-    Nothing rounds but the one step to the float r_i.
+    is at least d |a(g_i)| / (|a_d| prod_(j != i) |g_i - g_j|) = d |W_i|, d
+    times the Weierstrass correction at the distinct points g, and the
+    radius r_i is that rational rounded up to a float (`numutil.ratio_up`).
+    The disks of radius d |W_i| about the g_i hold every root of a, a
+    connected union of m of them exactly m (Carstensen, Numer. Math. 59,
+    1991), so pairwise disjoint disks hold one root each.  Disks i and j are
+    disjoint when L_ij > R_i + R_j for R_k = ceil(2^P r_k), since then
+    2^P |g_i - g_j| >= L_ij > 2^P (r_i + r_j).  Nothing rounds but the one
+    step to the float r_i.
     """
-    d = len(zz)
-    P = prec + 8
-    L = _separations(zz, P)
+    d = len(grid)
+    L = _separations(grid)
     if min(map(min, L)) <= 0:
         return None
-    grow = d * ((1 << prec) + 256 * (d + 1))   # d (1 + 2 gamma) 2^prec
-    shift = P * (d - 1) - prec
+    lead = a[-1]
+    scaled = [c << P * (d - k) for k, c in enumerate(a)][-2::-1]
     tn, td = tol.as_integer_ratio()
     radii = []
-    for num, row in zip(nums, L):
-        _, man, exp, _ = num._mpf_
-        n, den = grow * man, math.prod(row)
-        if exp + shift >= 0:
-            n <<= exp + shift
-        else:
-            den <<= -(exp + shift)
+    for (x, y), row in zip(grid, L):
+        re, im = lead, 0
+        for c in scaled:
+            re, im = re * x - im * y + c, re * y + im * x
+        m = re * re + im * im
+        s = math.isqrt(m)
+        n, den = d * (s + (s * s < m)), abs(lead) * math.prod(row) << P
         if n * td >= tn * den:   # beyond tol, or beyond the float range
             return None
         radii.append(ratio_up(n, den))
-    if max(radii, default=0.0) >= tol:
+    if max(radii) >= tol:
         return None
-    R = [-(-(a << P) // b) for a, b in map(float.as_integer_ratio, radii)]
+    R = [-(-(n << P) // m) for n, m in map(float.as_integer_ratio, radii)]
     for i in range(d):
         row, Ri = L[i], R[i]
         for j in range(i + 1, d):
@@ -282,39 +233,40 @@ def certified_roots_mp(coeffs, tol):
     """Aberth-Ehrlich with a posteriori Weierstrass disks.
 
     `coeffs` are exact Fractions low->high of a squarefree polynomial.
-    Returns (list of mpc, list of float radii rounded up); union of the
-    returned disks contains all roots and disks are pairwise disjoint, so
+    Returns (P, centres, radii): centres[i] = (X_i, Y_i) for the disk about
+    (X_i + i Y_i) / 2^P of float radius radii[i], rounded up.  The union of
+    the disks contains all roots and the disks are pairwise disjoint, so
     each contains exactly one.  The mp pass starts from the float pass of
     `_float_start`, or from the Cauchy circle when that has none, and each
     rung of the precision ladder from the iterates of the one before; the
-    disks are those of `_weierstrass_radii`.
+    centres are its iterates floored onto the grid 2^-P, P = prec + 8, and
+    the disks are those of `_weierstrass_radii`.
     """
     import mpmath as mpm
-    from mpmath.libmp import mpf_abs
     d = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    a = [c.numerator * (den // c.denominator) for c in coeffs]
     zz = _float_start(monic)
     dps = max(30, int(-math.log10(tol)) + 15)
     for _ in range(8):
         with MP_PRECISION_LOCK, mpm.workdps(dps):
-            cs = _mpc_poly(monic)
+            cs = [mpm.mpf(c.numerator) / mpm.mpf(c.denominator)
+                  for c in monic]
             if zz is None:   # the Cauchy circle
                 radius = 1 + max(abs(c) for c in cs[:-1])
                 zz = [radius * w for w in _circle(d)]
             zz = [mpm.mpc(w) for w in zz]
             bits = int((dps - 6) * math.log2(10))   # eps = 10^(6 - dps)
-            values = _aberth(cs, zz, [complex(z) for z in zz],
-                             mpm.ldexp(1, -bits), mpm.ldexp(1, -bits // 2))
-            prec = mpm.mp.prec
-            gamma = mpm.ldexp(64 * (d + 1), 1 - prec)
-            moduli = [_fixed_up(mpf_abs(c._mpf_), MODULUS_BITS) for c in cs]
-            nums = [abs(horner(cs, z) if v is None else v)
-                    + gamma * _modulus_sum_up(moduli, z)
-                    for z, v in zip(zz, values)]
-        radii = _weierstrass_radii(zz, nums, prec, tol)
+            _aberth(cs, zz, [complex(z) for z in zz],
+                    mpm.ldexp(1, -bits), mpm.ldexp(1, -bits // 2))
+            P = mpm.mp.prec + 8
+            grid = [(_floor_scaled(z.real, P), _floor_scaled(z.imag, P))
+                    for z in zz]
+        radii = _weierstrass_radii(a, grid, P, tol)
         if radii is not None:
-            return zz, radii
+            return P, grid, radii
         dps *= 2
     raise RepeatedRootError(
         "root certification failed; inputs may be non-squarefree or "
@@ -333,12 +285,14 @@ def complex_roots(P, tol=1e-12):
     if not P.is_squarefree():
         raise RepeatedRootError(
             "polynomial has a repeated root; deflate by gcd(P, P') first")
-    zz, radii = P.certified_roots(tol)
+    bits, centres, radii = P.certified_roots(tol)
+    one = 1 << bits
     roots = []
-    for z, r in zip(zz, radii):
-        # each part of z rounds within 2^-53 of itself (2^-1075 if subnormal):
-        # |complex(z) - z| <= 2^-52 |complex(z)| + 2^-1074, sums rounded up
-        w = complex(z)
+    for (x, y), r in zip(centres, radii):
+        # int division rounds correctly, so each part of the centre z rounds
+        # within 2^-53 of itself (2^-1075 if subnormal):
+        # |w - z| <= 2^-52 |w| + 2^-1074, sums rounded up
+        w = complex(x / one, y / one)
         conv = math.nextafter(abs(w) * 2.0 ** -52 + 2.0 ** -1074, math.inf)
         roots.append(CertifiedRoot(w, math.nextafter(r + conv, math.inf)))
     # conjugation closure sanity (real coefficients force it)

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import mpmath as mpm
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,53 @@ class TestMahler:
         res = mahler_measure(IntPoly((-2, 0, 0, 1)))
         truth = 2.0
         assert abs(res.measure - truth) <= 10 * res.error_bound + 1e-13
+
+    @staticmethod
+    def log_mahler_at_60_digits(P):
+        """log|a_d| + sum log max(1, |xi|) at 60 digits: numpy's companion
+        eigenvalues, those of modulus >= 1/2 polished by Newton's method in
+        mpmath (the others add nothing), checked distinct."""
+        import numpy as np
+        high = list(reversed(P.coeffs))
+        roots = []
+        with mpm.workdps(60):
+            for w in np.roots(high):
+                if abs(w) < 0.5:
+                    continue
+                z = mpm.mpc(complex(w))
+                for _ in range(30):
+                    p, dp = mpm.polyval(high, z, derivative=True)
+                    z -= p / dp
+                    if abs(p / dp) < mpm.mpf(10) ** -55 * (1 + abs(z)):
+                        break
+                else:
+                    raise AssertionError(f"Newton stalls from {w}")
+                roots.append(z)
+            assert all(abs(roots[i] - roots[j]) > mpm.mpf(10) ** -40
+                       for i in range(len(roots)) for j in range(i))
+            return mpm.log(abs(P.lead)) + sum(mpm.log(abs(z)) for z in roots
+                                              if abs(z) > 1)
+
+    def test_enclosures_hold_the_60_digit_value(self):
+        # log_measure +- error_bound and measure +- measure_error hold the
+        # true values, with no slack, on random polynomials of degree 2-48
+        # and on (10^20 X - 10^20 - 1)(X + 2), whose root 1 + 10^-20 lies
+        # just outside the unit circle
+        rng = random.Random(23)
+        polys = [IntPoly((-10 ** 20 - 1, 10 ** 20)) * IntPoly((2, 1))]
+        while len(polys) < 41:
+            d = rng.randint(2, 48)
+            P = IntPoly(tuple(rng.randint(-10, 10) for _ in range(d))
+                        + (rng.randint(1, 3),))
+            if P.is_squarefree():
+                polys.append(P)
+        for P in polys:
+            want = self.log_mahler_at_60_digits(P)
+            res = mahler_measure(P)
+            with mpm.workdps(60):
+                assert abs(res.log_measure - want) <= res.error_bound, P
+                assert abs(res.measure - mpm.exp(want)) \
+                    <= res.measure_error, P
 
     def test_root_product_matches_mahler(self):
         # internal consistency: |a0 prod max(1,|xi|) - M(P)| small
@@ -353,14 +401,15 @@ class TestRootsKeptOnThePolynomial:
 
     def test_tighter_request_solves_again(self, solves):
         P = IntPoly((-1, -1, 0, 1))
-        _, loose = P.certified_roots(1e-10)
+        _, _, loose = P.certified_roots(1e-10)
         tol = max(loose) / 10
-        zz, radii = P.certified_roots(tol)
+        solved = P.certified_roots(tol)
+        radii = solved[2]
         assert len(solves) == 2 and max(radii) < tol
         # the tighter solve is kept and its error matches a fresh solve's
-        fresh_zz, fresh = IntPoly(P.coeffs).certified_roots(tol)
+        _, _, fresh = IntPoly(P.coeffs).certified_roots(tol)
         assert max(radii) <= max(fresh)
-        assert P.certified_roots(tol) == (zz, radii) and len(solves) == 3
+        assert P.certified_roots(tol) == solved and len(solves) == 3
         assert mahler_measure(P, tol * 1e2).error_bound \
             <= mahler_measure(IntPoly(P.coeffs), tol * 1e2).error_bound
         assert len(solves) == 4

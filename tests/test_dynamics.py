@@ -168,6 +168,10 @@ class TestIterate:
         rec = iterate(Z2P1, ProjPointQ((3, 1)), n_max=100, height_cap=1e9,
                       digit_budget=10)
         assert rec.status == "budget-exhausted"
+        # the step that would cross the budget is not taken: every point
+        # recorded has at most 10 digits (3, 10, 101, 10202, 104080805)
+        assert len(rec.points) == 5 == len(rec.gcds) + 1
+        assert all(p.H() < 10 ** 10 for p in rec.points)
 
 
 class TestPadicLedger:

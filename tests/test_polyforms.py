@@ -515,9 +515,10 @@ class TestComplexRoots:
                         + (rng.randint(1, 3),))
             if not P.is_squarefree():
                 continue
-            zz, radii = P.certified_roots(1e-12)
-            for z, r, rt in zip(zz, radii, complex_roots(P, 1e-12)):
-                with mpm.workdps(60):
+            bits, centres, radii = P.certified_roots(1e-12)
+            with mpm.workdps(60):
+                zz = _mpc_centres(bits, centres)
+                for z, r, rt in zip(zz, radii, complex_roots(P, 1e-12)):
                     assert abs(mpm.mpc(rt.value) - z) + r <= rt.radius
 
     def test_disks_hold_roots_below_the_float_range(self):
@@ -525,9 +526,9 @@ class TestComplexRoots:
         # underflows to 0 in floats, so the float pass heads for the double
         # root 0 of X^2 and the mp pass has to separate the two
         P = IntPoly((-1, 0, 10 ** 400))
-        zz, radii = P.certified_roots(1e-12)
+        bits, centres, radii = P.certified_roots(1e-12)
         with mpm.workdps(260):
-            for z, r in zip(zz, radii):
+            for z, r in zip(_mpc_centres(bits, centres), radii):
                 assert min(abs(z - w) for w in (mpm.mpf(10) ** -200,
                                                 -mpm.mpf(10) ** -200)) <= r
 
@@ -569,6 +570,18 @@ def _monic(P):
     return [Fraction(c, P.lead) for c in P.coeffs]
 
 
+def _mpc_centres(bits, centres):
+    """The exact centres (X + i Y) / 2^bits of a solve as mpc values, each
+    part rounded once to the working precision."""
+    return [mpm.mpc(mpm.ldexp(x, -bits), mpm.ldexp(y, -bits))
+            for x, y in centres]
+
+
+def _float_centres(bits, centres):
+    """The centres of a solve rounded to complex floats."""
+    return [complex(x / 2 ** bits, y / 2 ** bits) for x, y in centres]
+
+
 ROOT_START_CASES = {
     # the coefficient ratio 10^320 overflows a float: the mp pass starts
     # from the Cauchy circle; the roots are about -1e-320 and +-1e160
@@ -588,13 +601,16 @@ class TestRootStart:
     def test_disks_are_disjoint_and_each_holds_one_root(self, name):
         P = ROOT_START_CASES[name]
         d = P.degree
-        zz, radii = certified_roots_mp([Fraction(c) for c in P.coeffs], 1e-12)
-        assert len(zz) == d and max(radii) < 1e-12
-        assert all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
-                   for i in range(d) for j in range(i + 1, d))
+        bits, centres, radii = certified_roots_mp(
+            [Fraction(c) for c in P.coeffs], 1e-12)
+        assert len(centres) == d and max(radii) < 1e-12
         # 60 digits below the largest modulus, as the disks are absolute
-        digits = 60 + max(0, int(mpm.log10(max(abs(z) for z in zz))))
+        size = max(abs(w) for w in _float_centres(bits, centres))
+        digits = 60 + max(0, int(math.log10(size)))
         with mpm.workdps(digits):
+            zz = _mpc_centres(bits, centres)
+            assert all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
+                       for i in range(d) for j in range(i + 1, d))
             ref = mpm.polyroots(list(reversed(P.coeffs)), maxsteps=2000,
                                 extraprec=digits)
             nearest = [min(range(d), key=lambda k: abs(ref[k] - z))
@@ -621,7 +637,7 @@ class TestRootStart:
     def test_float_pass_lands_within_ulps(self):
         P = ROOT_START_CASES["phi_105"]
         start = _float_start(_monic(P))
-        zz, _ = P.certified_roots(1e-12)
+        zz = _float_centres(*P.certified_roots(1e-12)[:2])
         assert len(start) == 48
         assert all(min(abs(w - z) for z in zz) < 1e-14 for w in start)
 
@@ -636,17 +652,17 @@ class TestRootStart:
         aberth = roots._aberth
 
         def spoilt(cs, zz, near, eps, stall):
-            values = aberth(cs, zz, near, eps, stall)
+            aberth(cs, zz, near, eps, stall)
             if isinstance(zz[0], complex):
                 zz[:] = spoil(zz)
-            return values
 
         monkeypatch.setattr(roots, "_aberth", spoilt)
         P = IntPoly((-2, 0, 1))
         assert _float_start(_monic(P)) is None
-        zz, radii = certified_roots_mp([Fraction(c) for c in P.coeffs], 1e-12)
-        assert sorted(float(z.real) for z in zz) == pytest.approx(
-            [-math.sqrt(2), math.sqrt(2)], abs=1e-15)
+        bits, centres, _ = certified_roots_mp(
+            [Fraction(c) for c in P.coeffs], 1e-12)
+        assert sorted(w.real for w in _float_centres(bits, centres)) == \
+            pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-15)
 
 
 class TestMixedPrecision:
@@ -654,38 +670,41 @@ class TestMixedPrecision:
     iterates, with an mp fallback, and Weierstrass radii on integers."""
 
     @staticmethod
-    def check_separations(zz, P):
-        # isqrt(dX^2 + dY^2) - 3 <= 2^P |z_i - z_j| < isqrt(...) + 3, the
-        # distance at 60 digits
+    def check_separations(grid, P):
+        # isqrt(dX^2 + dY^2) <= 2^P |g_i - g_j| < isqrt(...) + 2 for the
+        # grid points g = (X + i Y) / 2^P, the distance at 60 digits
         from arithdyn.roots import _separations
-        L = _separations(zz, P)
-        d = len(zz)
+        L = _separations(grid)
+        d = len(grid)
         with mpm.workdps(60):
+            zz = _mpc_centres(P, grid)
             for i in range(d):
                 assert L[i][i] == 1
                 for j in range(i + 1, d):
                     exact = mpm.ldexp(abs(zz[i] - zz[j]), P)
-                    assert L[i][j] == L[j][i] <= exact < L[i][j] + 6, (i, j)
+                    assert L[i][j] == L[j][i] <= exact < L[i][j] + 2, (i, j)
 
     def test_separations_are_lower_bounds(self):
         rng = random.Random(21)
-        solved = [certified_roots_mp(_monic(cyclotomic(105)), 1e-12)[0]]
+        solved = [certified_roots_mp(_monic(cyclotomic(105)), 1e-12)[:2]]
         while len(solved) < 10:
             d = rng.randint(2, 48)
             P = IntPoly(tuple(rng.randint(-10, 10) for _ in range(d))
                         + (rng.randint(1, 3),))
             if P.is_squarefree():
-                solved.append(P.certified_roots(1e-12)[0])
-        for zz in solved:
-            # the grid of the solver's first rung, and coarser grids where
-            # the floor truncates every part
-            for P in (103 + 8, 64, 40):
-                self.check_separations(zz, P)
+                solved.append(P.certified_roots(1e-12)[:2])
+        for bits, centres in solved:
+            assert bits == 103 + 8    # the grid of the solver's first rung
+            # and coarser grids, where the floor truncates every part
+            for P in (bits, 64, 40):
+                self.check_separations(
+                    [(x >> bits - P, y >> bits - P) for x, y in centres], P)
 
     @staticmethod
     def certify_apart(P, roots, monkeypatch):
         """Certified roots of P, each disk holding one of `roots` at 60
-        digits; and the iterates whose Aberth sums were taken in mp."""
+        digits: the centres as complex floats, and the iterates whose Aberth
+        sums were taken in mp."""
         import arithdyn.roots as mod
         pair_sum, in_mp = mod._pair_sum, []
 
@@ -695,13 +714,15 @@ class TestMixedPrecision:
             return pair_sum(ws, i)
 
         monkeypatch.setattr(mod, "_pair_sum", recorded)
-        zz, radii = certified_roots_mp([Fraction(c) for c in P.coeffs], 1e-12)
-        assert all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
-                   for i in range(len(zz)) for j in range(i))
+        bits, centres, radii = certified_roots_mp(
+            [Fraction(c) for c in P.coeffs], 1e-12)
         with mpm.workdps(60):
+            zz = _mpc_centres(bits, centres)
+            assert all(abs(zz[i] - zz[j]) > radii[i] + radii[j]
+                       for i in range(len(zz)) for j in range(i))
             for root in roots:
                 assert sum(abs(z - root) <= r for z, r in zip(zz, radii)) == 1
-        return zz, sorted(set(in_mp))
+        return _float_centres(bits, centres), sorted(set(in_mp))
 
     def test_real_roots_that_coincide_as_floats(self, monkeypatch):
         # (X - 1)(10^20 X - 10^20 - 1): the roots 1 and 1 + 10^-20 are both
@@ -712,7 +733,7 @@ class TestMixedPrecision:
         with mpm.workdps(60):
             roots = (mpm.mpf(1), 1 + mpm.mpf(10) ** -20)
         zz, in_mp = self.certify_apart(P, roots, monkeypatch)
-        assert in_mp == [0, 1] and complex(zz[0]).real == complex(zz[1]).real
+        assert in_mp == [0, 1] and zz[0].real == zz[1].real
 
     def test_iterates_that_coincide_as_floats(self, monkeypatch):
         # (X^2 - 2X + 2)(X^2 - 2(1 + e)X + 2(1 + e)^2), e = 10^-20: the
@@ -727,7 +748,7 @@ class TestMixedPrecision:
             roots = [mpm.mpc(1, s) * t for s in (1, -1) for t in (1, 1 + e)]
         zz, in_mp = self.certify_apart(P, roots, monkeypatch)
         assert in_mp == [0, 1, 2, 3]
-        assert sorted(map(complex, zz), key=lambda w: w.imag) == \
+        assert sorted(zz, key=lambda w: w.imag) == \
             [1 - 1j, 1 - 1j, 1 + 1j, 1 + 1j]
 
     def test_float_sums_refuse_close_copies(self):

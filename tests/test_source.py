@@ -150,13 +150,15 @@ def _imported(tree):
 
 def test_dynamics_leaves_mpmath_precision_alone():
     # the canonical-height kernels run on fixed-point integer intervals and
-    # numutil closes them with logs taken on integers, and projective takes
-    # zeta on integers too, so none of these modules (nor cli and the
-    # command modules) imports mpmath, and none but numutil, which defines
-    # it, names mpmath's global contexts or the lock
+    # numutil closes them with logs taken on integers, projective takes zeta
+    # on integers too, and algebraic multiplies the Mahler products on
+    # integers from the exact centres of the root disks, so none of these
+    # modules (nor cli and the command modules) imports mpmath, and none but
+    # numutil, which defines it, names mpmath's global contexts or the lock
     paths = [p for p in SOURCES if p.name in ("dynamics.py", "numutil.py",
-                                             "cli.py", "projective.py")]
-    assert len(paths) == 4
+                                             "cli.py", "projective.py",
+                                             "algebraic.py")]
+    assert len(paths) == 5
     for path in paths + COMMANDS:
         name = str(path.relative_to(path.parents[1]))
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -172,9 +174,37 @@ def test_dynamics_leaves_mpmath_precision_alone():
             assert "MP_PRECISION_LOCK" not in attrs | names, name
 
 
+def _mpmath_imports(tree):
+    """The innermost enclosing function (None at module level) of each
+    import statement that names mpmath."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and [
+                m for m in _imported(node) if m.split(".")[0] == "mpmath"]:
+            out.append(fn)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_the_root_sweeps_import_mpmath():
+    # the radii, the disjointness test and the Mahler products run on
+    # integers, so the one import of mpmath left is that of the mp Aberth
+    # sweeps, in the body of roots.certified_roots_mp
+    found = [(p.name, fn) for p in SOURCES + COMMANDS
+             for fn in _mpmath_imports(ast.parse(p.read_text(),
+                                                 filename=str(p)))]
+    assert found == [("roots.py", "certified_roots_mp")]
+
+
 def test_certified_root_path_loads_no_numpy():
-    # the float pass runs on Python complex numbers, and Mahler measures
-    # close their products with libmp, so no module of the root path
+    # the float pass runs on Python complex numbers and Mahler measures
+    # take their products on integers, so no module of the root path
     # imports numpy or sets mpmath's precision outside the root finder
     trees = {p.name: ast.parse(p.read_text(), filename=str(p))
              for p in SOURCES
