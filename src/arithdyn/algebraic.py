@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInputError, RepeatedRootError
 from .numutil import Value, factorize, is_prime, log_bounds, reported
-from .polyforms import IntPoly, complex_roots, cyclotomic
+from .polyforms import IntPoly, check_root_tol, complex_roots, cyclotomic
 
 DEFAULT_TOL = 1e-12
 
@@ -82,8 +82,12 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
     the archimedean product; times |a_0|, exactly, they enclose M, and
     `numutil.log_bounds` encloses the logs of both ends on integers.
     `measure` and `log_measure` each come with the least float that bounds
-    their distance to their enclosure (`numutil.reported`).
+    their distance to their enclosure (`numutil.reported`).  The disks have
+    radii below min(tol / 100, 1e-13); a tol for which `check_root_tol`
+    refuses that bound raises InvalidInputError before any other work.
     """
+    root_tol = min(tol * 1e-2, 1e-13)
+    check_root_tol(tol, root_tol)
     if P.is_zero():
         raise InvalidInputError("zero polynomial has no Mahler measure")
     Q = P.primitive()
@@ -91,7 +95,7 @@ def mahler_measure(P: IntPoly, tol=DEFAULT_TOL):
         raise RepeatedRootError(
             "non-squarefree input; take squarefree_part() first so root "
             "multiplicities are explicit")
-    bits, centres, radii = Q.certified_roots(min(tol * 1e-2, 1e-13)) \
+    bits, centres, radii = Q.certified_roots(root_tol) \
         if Q.degree else (0, (), ())
     prec = MAHLER_PREC
     one = 1 << prec

@@ -6,7 +6,8 @@ renormalized iteration with an explicit tail bound from the two-sided
 compacity inequality.  One recurrence, `EscapeRateField._lambda`, does it:
 on Python complex numbers with math.log for one point (`escape`,
 membership, the pairing), where numpy's per-call cost would dominate, and
-on numpy arrays for many.  A map with a coefficient beyond the float range
+on numpy arrays for many.  Each of its steps evaluates both forms from one
+power table of the point.  A map with a coefficient beyond the float range
 is refused when its field is built.  The pairing
 
     G(P1, P2) = -log|x1 y2 - x2 y1| + Lambda(P1) + Lambda(P2)
@@ -17,10 +18,10 @@ over point sets (Baker means, energies, discrepancies) sum the
 log-determinants over i < j.  Sets of at most PAIR_PYTHON_POINTS points,
 all that the CLI's README examples pass, are summed in Python floats, as
 importing numpy would cost such a process more than the sum; larger sets
-are summed with numpy a block of rows at a time, at most PAIR_BLOCK
-entries per block, so memory does not grow with n^2.  Point sets of more
-than PAIR_POINT_CAP points raise ResourceLimitError before they are
-built.  Fekete configurations maximize the product of |x_i y_j - x_j y_i|
+are summed with numpy a block of rows at a time, at most PAIR_BLOCK = 2^15
+entries per block, so memory does not grow with n^2 and a block's
+temporaries stay near the size of a cache.  Point sets of more than
+PAIR_POINT_CAP points raise ResourceLimitError before they are built.  Fekete configurations maximize the product of |x_i y_j - x_j y_i|
 over the filled Julia set.  The objective, the pairwise log-distance sum
 minus 2(n-1) sum Lambda, is unchanged when one point is scaled, so it is
 evaluated at affine points (z, 1).  For power maps, where Lambda = log
@@ -113,6 +114,11 @@ class EscapeRateField(Value):
                         "float; the escape-rate field evaluates the map in "
                         "floats") from None
         object.__setattr__(self, "degree", map.degree)
+        # the nonzero terms (c, x power, y power) of U and V, in the order
+        # BinaryForm.__call__ sums them
+        object.__setattr__(self, "_terms", tuple(
+            tuple((c, map.degree - i, i) for i, c in enumerate(form.coeffs)
+                  if c) for form in (map.U, map.V)))
         object.__setattr__(self, "tail_constant",
                            map.compacity_tail_constant())
         object.__setattr__(self, "_exact_power", map.is_unit_power_pair())
@@ -126,19 +132,33 @@ class EscapeRateField(Value):
 
     def _lambda(self, x, y, log, max_abs):
         """The escape-rate recurrence, for Python complex x, y with _log and
-        _max_abs or for numpy arrays with np.log and the maximum of np.abs."""
+        _max_abs or for numpy arrays with np.log and the maximum of np.abs.
+
+        Each step evaluates U and V from one power table of x and y, with
+        the products and sums of BinaryForm.__call__ in its order, so the
+        values are those of two calls to it.  The additions `+=` act in
+        place only on arrays made here."""
         m = max_abs(x, y)
         acc = log(m)
         if self._exact_power:
             return acc
-        U, V, d = self.map.U, self.map.V, self.degree
+        d = self.degree
+        uterms, vterms = self._terms
         x, y = x / m, y / m
         w = 1.0
         for _ in range(self.depth):
-            X, Y = U(x, y), V(x, y)
+            xp, yp = [1], [1]
+            for _ in range(d):
+                xp.append(xp[-1] * x)
+                yp.append(yp[-1] * y)
+            X = Y = 0
+            for c, i, j in uterms:
+                X += c * xp[i] * yp[j]
+            for c, i, j in vterms:
+                Y += c * xp[i] * yp[j]
             m = max_abs(X, Y)
             w /= d
-            acc = acc + w * log(m)
+            acc += w * log(m)
             x, y = X / m, Y / m
         return acc
 
@@ -209,7 +229,9 @@ def g_pairing(field: EscapeRateField, P1, P2):
 
 
 PAIR_POINT_CAP = 2 ** 14  # most points of a pairwise statistic
-PAIR_BLOCK = 2 ** 18  # most entries of one block of pairwise determinants
+# most entries of one block of pairwise determinants: 512 KiB of them, so a
+# block's temporaries stay near the size of a core's cache
+PAIR_BLOCK = 2 ** 15
 PAIR_PYTHON_POINTS = 64  # most points whose pairwise sums run in floats
 
 
@@ -267,7 +289,9 @@ def _numpy_sums(field, pairs):
     n = len(pairs)
     x = np.array([p[0] for p in pairs])
     y = np.array([p[1] for p in pairs])
-    rows = max(1, PAIR_BLOCK // n)
+    rows = min(n - 1, max(1, PAIR_BLOCK // n))
+    # lower[r, c] marks the pairs j <= i of a block's leading square
+    lower = np.tri(rows, k=-1, dtype=bool)
     logs = 0.0
     for a in range(0, n - 1, rows):
         b = min(a + rows, n - 1)
@@ -276,10 +300,11 @@ def _numpy_sums(field, pairs):
         det -= np.multiply.outer(y[a:b], x[a + 1:])
         mod = np.abs(det)
         del det
-        mod[np.tril_indices(b - a, -1, n - a - 1)] = 1.0  # the pairs j <= i
+        k = b - a
+        np.copyto(mod[:, :k], 1.0, where=lower[:k, :k])
         if np.any(mod == 0):
             return None
-        logs += float(np.sum(np.log(mod)))
+        logs += float(np.sum(np.log(mod, out=mod)))
     return logs, np.sum(field.escape_vec(x, y))
 
 

@@ -477,6 +477,22 @@ class CertifiedRoot(NamedTuple):
     radius: float
 
 
+def check_root_tol(tol, radius_tol=None):
+    """InvalidInputError unless `tol` is a positive number and the radius
+    bound `radius_tol` it sets (tol itself by default) is finite and above
+    2^-1074.  A certified radius is a float below that bound, so a bound at
+    or below the least positive float could only be met by radius 0."""
+    bound = tol if radius_tol is None else radius_tol
+    if not tol > 0:
+        raise InvalidInputError(f"tolerance {tol!r} is not a positive number")
+    if not bound < math.inf:
+        raise InvalidInputError(f"tolerance {tol!r} is not finite")
+    if not bound > 2.0 ** -1074:
+        raise InvalidInputError(
+            f"tolerance {tol!r} asks for root radii below {bound!r}, which "
+            "only radius 0 meets: the least positive float is 2^-1074")
+
+
 def certified_roots_mp(coeffs, tol):
     """Aberth-Ehrlich with a posteriori Weierstrass disks.
 
@@ -486,8 +502,10 @@ def certified_roots_mp(coeffs, tol):
     union of the disks contains all roots and the disks are pairwise
     disjoint, so each contains exactly one.  The solver lives in `roots`,
     loaded here on the first solve; `IntPoly.certified_roots` calls it
-    through this name.
+    through this name.  A tolerance that `check_root_tol` refuses raises
+    InvalidInputError before any solve.
     """
+    check_root_tol(tol)
     from . import roots
     return roots.certified_roots_mp(coeffs, tol)
 
@@ -497,7 +515,9 @@ def complex_roots(P, tol=1e-12):
     records whose disks cover the float conversion (`roots.complex_roots`).
 
     Raises RepeatedRootError for non-squarefree input (deflate with
-    P.exact_div(P.gcd(P.derivative())) and retry).
+    P.exact_div(P.gcd(P.derivative())) and retry), and InvalidInputError
+    first for a tolerance that `check_root_tol` refuses.
     """
+    check_root_tol(tol)
     from . import roots
     return roots.complex_roots(P, tol)

@@ -559,6 +559,19 @@ class TestRejections:
         assert time.monotonic() - start < 1
         assert code == 1 and data["error"] == "ResourceLimitError"
 
+    @pytest.mark.parametrize("command", ["mahler", "algheight"])
+    @pytest.mark.parametrize("tol", ["4e-322", "5e-324"])
+    def test_tolerance_below_every_float_radius(self, command, tol, capsys):
+        # the roots are certified to radius below tol / 100, which no
+        # positive float is: refused before the precision ladder, which
+        # spent about 1.7 s before it gave up
+        start = time.monotonic()
+        code, data = self.rejected([command, "--poly=-2,0,1", "--tol", tol],
+                                   capsys)
+        assert time.monotonic() - start < 0.5
+        assert code == 1 and data["error"] == "InvalidInputError"
+        assert "2^-1074" in data["message"]
+
     def test_log_height_bound_beyond_cap(self, capsys):
         code, data = self.rejected(["enumerate", "--k", "1", "--B", "1000"],
                                    capsys)

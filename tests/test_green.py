@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import mpmath as mpm
@@ -16,8 +17,9 @@ from arithdyn.algebraic import AlgebraicNumber, cyclotomic_number
 from arithdyn.dynamics import RationalMap
 from arithdyn.errors import (InvalidInputError, ResourceLimitError,
                              UnsupportedScopeError)
-from arithdyn.green import (INF, PAIR_POINT_CAP, PAIR_PYTHON_POINTS,
-                            POWER_D_CAP, EmpiricalMeasure, EscapeRateField,
+from arithdyn.green import (INF, PAIR_BLOCK, PAIR_POINT_CAP,
+                            PAIR_PYTHON_POINTS, POWER_D_CAP,
+                            EmpiricalMeasure, EscapeRateField,
                             _pairwise_mean_g, annulus_mass_bound,
                             baker_fit_constant, baker_mean_pairing,
                             bilu_moment_test, discrepancy, discrete_energy,
@@ -186,6 +188,80 @@ class TestScalarAndArrayPaths:
         want = (-math.log(abs(p1 * p2[1] - p2[0])) + lam[0] + lam[1]
                 - field.res_term())
         assert g_pairing(field, p1, p2) == pytest.approx(want, rel=1e-14)
+
+
+def two_call_lambda(field, x, y, log, max_abs):
+    """The escape-rate recurrence with one BinaryForm call per form and
+    step, each building its own power tables."""
+    m = max_abs(x, y)
+    acc = log(m)
+    if field.map.is_unit_power_pair():
+        return acc
+    U, V, d = field.map.U, field.map.V, field.degree
+    x, y = x / m, y / m
+    w = 1.0
+    for _ in range(field.depth):
+        X, Y = U(x, y), V(x, y)
+        m = max_abs(X, Y)
+        w /= d
+        acc = acc + w * log(m)
+        x, y = X / m, Y / m
+    return acc
+
+
+def two_call_escape(field, x, y):
+    try:
+        return float(two_call_lambda(field, complex(x), complex(y),
+                                     green._log, green._max_abs))
+    except ZeroDivisionError:
+        return math.nan
+
+
+def two_call_escape_vec(field, xs, ys):
+    return two_call_lambda(field, np.asarray(xs, dtype=complex),
+                           np.asarray(ys, dtype=complex), np.log,
+                           lambda a, b: np.maximum(abs(a), abs(b)))
+
+
+def float_bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestOnePowerTablePerStep:
+    """`escape` and `escape_vec` evaluate U and V from one power table per
+    step, with the products and sums of two BinaryForm calls: every value
+    is that of the two-call recurrence, bit for bit."""
+
+    MAPS = {"z^2": POWER2, "z^2+1": Z2P1, "z^2-1": Z2M1, "z-1/z": ZM1Z,
+            "cubic": CUBIC,
+            # a zero X^2 Y^2 coefficient in both forms
+            "zero-middle": make_map((2, -1, 0, 3, 1), (1, 1, 0, -2, 4))}
+
+    @staticmethod
+    def points():
+        rng = random.Random(24)
+        pts = [(complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)),
+                1.0 if rng.random() < 0.75 else
+                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+               for _ in range(200)]
+        big, nan = 1.5e308 * (1 + 1j), math.nan
+        # the NaN, inf and overflow points of TestPairwiseMeanG
+        return pts + [(complex(nan, 0), 1.0), (1.0, complex(0, nan)),
+                      (complex(math.inf, 1), 1.0), (big, 1.0), (big, big),
+                      (1e308, 1.0), (-1e308, 1.0), (1.0, 0.0)]
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_bit_identical_to_two_form_calls(self, name):
+        field = EscapeRateField(self.MAPS[name], tol=1e-10)
+        pts = self.points()
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        with np.errstate(all="ignore"):
+            got = field.escape_vec(xs, ys)
+            want = two_call_escape_vec(field, xs, ys)
+        assert got.tobytes() == want.tobytes()
+        assert float_bits(field.escape(x, y) for x, y in pts) == \
+            float_bits(two_call_escape(field, x, y) for x, y in pts)
+        assert not np.isfinite(got[200:205]).any()
 
 
 class TestMembership:
@@ -678,6 +754,25 @@ def mean_g_by_path(field, pairs, path, monkeypatch):
         return _pairwise_mean_g(field, pairs)
 
 
+def block_rows(n):
+    """Rows of one block of pairwise determinants for n points."""
+    return min(n - 1, max(1, PAIR_BLOCK // n))
+
+
+def block_boundaries():
+    """Point counts at the row-count boundaries of the numpy blocks: the
+    most that one block holds, the least that need two (the second holding
+    one row), and, above those, the least whose last block is full and the
+    least whose last block holds one row."""
+    one = max(n for n in range(PAIR_PYTHON_POINTS + 1, 2 ** 10)
+              if block_rows(n) == n - 1)
+    full = next(n for n in range(one + 2, 2 ** 12)
+                if (n - 1) % block_rows(n) == 0)
+    single = next(n for n in range(one + 2, 2 ** 12)
+                  if (n - 1) % block_rows(n) == 1)
+    return [one, one + 1, full, single]
+
+
 def same_value(a, b):
     return (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b,
                                                                    rel=1e-12)
@@ -722,7 +817,8 @@ class TestPairwiseMeanG:
                 want = field.escape_vec([x], [y])[0]
             assert same_value(field.escape(x, y), want)
 
-    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 100, 257, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 100, 257, 1000]
+                             + block_boundaries())
     @pytest.mark.parametrize("f", [POWER2, Z2P1], ids=["z^2", "z^2+1"])
     def test_against_the_double_loop(self, f, n, monkeypatch):
         field = EscapeRateField(f, tol=1e-10)
@@ -750,7 +846,11 @@ class TestPairwiseMeanG:
     @pytest.mark.parametrize("n,i,j", [(3, 0, 2), (64, 0, 63), (65, 63, 64),
                                        (257, 4, 250),
                                        (1000, 5, 900), (1000, 700, 999),
-                                       (1000, 998, 999)])
+                                       (1000, 998, 999),
+                                       # the last row of one block and the
+                                       # first of the next
+                                       (1000, block_rows(1000) - 1,
+                                        block_rows(1000))])
     def test_a_duplicate_point_gives_infinity(self, n, i, j):
         field = EscapeRateField(Z2P1, tol=1e-10)
         pts = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
@@ -774,8 +874,9 @@ class TestPairwiseMeanG:
         finally:
             tracemalloc.stop()
         assert mean == pytest.approx(-math.log(2000) / 1999, rel=1e-12)
-        # the n x n arrays of a full sum take more than 150 MB here
-        assert peak < 16 * 2 ** 20
+        # the n x n arrays of a full sum take more than 150 MB here, and
+        # blocks of 2^18 determinants more than 8 MiB
+        assert peak < 4 * 2 ** 20
 
     def test_point_count_capped(self):
         field = EscapeRateField(POWER2)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithdyn.algebraic import mahler_measure
 from arithdyn.errors import InvalidInputError, RepeatedRootError
 from arithdyn.numutil import float_up
 from arithdyn.polyforms import (BinaryForm, IntPoly, PadicValuation,
@@ -535,6 +536,32 @@ class TestComplexRoots:
     def test_non_squarefree_rejected(self):
         with pytest.raises(RepeatedRootError):
             complex_roots(IntPoly((1, -2, 1)))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, 5e-324,
+                                     -5e-324, math.inf])
+    def test_tolerance_no_float_radius_meets_is_refused(self, tol):
+        # a radius is a float below tol: none is below 2^-1074 but 0
+        P = IntPoly((-2, 0, 1))
+        solves = [lambda: complex_roots(P, tol),
+                  lambda: certified_roots_mp([Fraction(c) for c in P.coeffs],
+                                             tol)]
+        if tol != math.inf:   # mahler asks for radii below 1e-13 then
+            solves.append(lambda: mahler_measure(P, tol))
+        start = time.monotonic()
+        for solve in solves:
+            with pytest.raises(InvalidInputError) as err:
+                solve()
+            assert type(err.value) is InvalidInputError
+        assert time.monotonic() - start < 0.5
+
+    def test_mahler_refuses_a_tolerance_whose_radii_no_float_meets(self):
+        # mahler asks its roots for radii below tol / 100
+        P = IntPoly((-2, 0, 1))
+        with pytest.raises(InvalidInputError, match="2\\^-1074"):
+            mahler_measure(P, 4e-322)
+        assert mahler_measure(P, math.inf).measure == 2.0
+        # the least bound a positive float radius can meet is 2^-1073
+        assert max(P.certified_roots(1e-323)[2]) < 1e-323
 
     def test_deflation_path(self):
         p = IntPoly((1, -2, 1))
