@@ -229,7 +229,8 @@ def _parser(only):
         p.add_argument("--tol", type=positive_float, default=1e-10)
     if p := add("bilu", "green", help="monomial moments of an orbit family"):
         p.add_argument("--family", required=True,
-                       help='"primitive:101", "all:64" or "poly:<coeffs>"')
+                       help='"primitive:N" (the phi(N) primitive N-th roots '
+                       'of unity), "all:N" or "poly:<coeffs>"')
         p.add_argument("--exponents", default="1,2,3,4,5")
         p.add_argument("--out")
     if p := add("energy", "green", help="discrete energy of a point cloud"):

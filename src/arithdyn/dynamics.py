@@ -96,7 +96,7 @@ class RationalMap(Value):
         return tuple(p for p, _ in self.res_factors)
 
     def apply(self, x: ProjPointQ):
-        a, b = x.coords
+        a, b = _p1_coords(x)
         return ProjPointQ((self.U(a, b), self.V(a, b)))
 
     def is_unit_power_pair(self):
@@ -172,6 +172,14 @@ class OrbitRecord(NamedTuple):
     __hash__ = None   # a result: compared, never used as a key
 
 
+def _p1_coords(x: ProjPointQ):
+    """(a, b) for a point of P^1; InvalidInputError for any other."""
+    if x.dim != 1:
+        raise InvalidInputError(f"a map of P^1 takes a point of P^1, not "
+                                f"the point {x} of P^{x.dim}")
+    return x.coords
+
+
 def iterate(f: RationalMap, x: ProjPointQ, n_max=1000, height_cap=60.0,
             digit_budget=DIGIT_BUDGET):
     """gcd-reduced exact orbit with cycle detection.
@@ -182,6 +190,7 @@ def iterate(f: RationalMap, x: ProjPointQ, n_max=1000, height_cap=60.0,
     budget is not taken).  Each step takes one gcd, in `ProjPointQ`, and
     reads g_k off the reduced point.
     """
+    _p1_coords(x)
     pts = [x]
     gcds = []
     if x.height() > height_cap:
@@ -297,13 +306,8 @@ def _ledger_rung(f: RationalMap, x: ProjPointQ, p, K, R, m):
 def orbit_gcds(f: RationalMap, x: ProjPointQ, K):
     """The exact reduction gcds g_1..g_K, assembled from p-adic tracks."""
     vals = {p: padic_gcd_valuations(f, x, p, K) for p in f.bad_primes}
-    out = []
-    for k in range(K):
-        g = 1
-        for p in f.bad_primes:
-            g *= p ** vals[p][k]
-        out.append(g)
-    return out
+    return [math.prod(p ** vals[p][k] for p in f.bad_primes)
+            for k in range(K)]
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +443,7 @@ def canonical_height_global(f: RationalMap, x: ProjPointQ, tol=1e-8):
     intervals (per-step gcds from p-adic tracks), so the tolerance is still
     met; `budget_exhausted` is set only if even that fails.
     """
+    _p1_coords(x)
     d = f.degree
     c_up, c_lo = f.functoriality_constants()
     c_max = max(c_up, c_lo)
@@ -512,7 +517,7 @@ def canonical_height_local(f: RationalMap, x: ProjPointQ, tol=1e-8):
     hhat(x) within total_error <= tol.
     """
     d = f.degree
-    a, b = x.coords
+    a, b = _p1_coords(x)
     if f.is_unit_power_pair():
         h = x.height()
         return LocalHeightLedger({}, (h, 0.0), h, 0.0)
@@ -570,12 +575,9 @@ def preperiodic_points_rational(f: RationalMap, cap=PREPERIODIC_ENUM_CAP):
             bound, f"Northcott bound h <= {bound:.3f} needs {n_pts} points")
     c_up, _ = f.functoriality_constants()
     height_cap = bound + c_up + 1e-9
-    out = []
-    for x in enumerate_points(1, bound):
-        rec = iterate(f, x, n_max=n_pts + 2, height_cap=height_cap)
-        if rec.status == "cycle":
-            out.append(x)
-    return out
+    return [x for x in enumerate_points(1, bound)
+            if iterate(f, x, n_max=n_pts + 2,
+                       height_cap=height_cap).status == "cycle"]
 
 
 class CommutingReport(NamedTuple):

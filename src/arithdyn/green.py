@@ -358,10 +358,12 @@ class EmpiricalMeasure(Value):
         return cls([cmath.exp(2j * math.pi * k / n) for k in range(n)])
 
     @classmethod
-    def primitive_roots_of_unity(cls, p):
-        """All primitive p-th roots for prime p (every root except 1)."""
-        _check_point_count(p - 1)
-        return cls([cmath.exp(2j * math.pi * k / p) for k in range(1, p)])
+    def primitive_roots_of_unity(cls, n):
+        """The phi(n) primitive n-th roots e^(2 pi i k / n), gcd(k, n) = 1
+        (every root but 1 for a prime n); the cap is checked on n - 1."""
+        _check_point_count(n - 1)
+        return cls([cmath.exp(2j * math.pi * k / n) for k in range(n)
+                    if math.gcd(k, n) == 1])
 
     def affine(self):
         """(finite z values, number of points at infinity)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import NamedTuple
 
 from .errors import (DegenerateMapError, IndeterminacyError, InvalidInputError,
@@ -18,7 +18,7 @@ from .numutil import (Value, log_dyadic, log_up, parse_rational, reported,
                       zeta_dyadic)
 
 ENUMERATION_CAP = 5_000_000  # points; guards accidental huge materializations
-COUNT_CAP = 10_000_000       # Hmax of count_points; its sieve holds Hmax entries
+COUNT_CAP = 10_000_000       # Hmax of count_points; bounds its time, about H^(3/4)
 POWER_BITS_CAP = 1 << 17     # bits of (2 Hmax + 1)^(k+1), count_points' largest power
 POWER_SUM_BITS_CAP = 1 << 25  # bits of count_points' distinct powers together
 
@@ -72,25 +72,6 @@ def height(x: ProjPointQ):
 # enumeration and counting
 # ---------------------------------------------------------------------------
 
-def _mobius_sieve(n):
-    mu = [1] * (n + 1)
-    primes = []
-    comp = [False] * (n + 1)
-    for i in range(2, n + 1):
-        if not comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > n:
-                break
-            comp[i * p] = True
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
-
-
 def _distinct_quotients(Hmax):
     """(q, lo, hi) for each distinct q = Hmax // g, g = 1..Hmax, decreasing
     in q, where [lo, hi] is the block of g with that quotient; there are at
@@ -103,18 +84,37 @@ def _distinct_quotients(Hmax):
         g = hi + 1
 
 
+def _mertens_on_quotients(Hmax):
+    """{v: M(v)} for each v = Hmax // g, where M(v) = sum_{n <= v} mu(n).
+
+    The pairs (g, n) with g n <= v are the pairs (m / n, n), n | m <= v, so
+    sum_{g <= v} M(v // g) = sum_{m <= v} sum_{n | m} mu(n) = 1, and
+    M(v) = 1 - sum_{g = 2..v} M(v // g): (hi - lo + 1) M(q) per block
+    (q, lo, hi), lo >= 2, of `_distinct_quotients(v)`.  For v = Hmax // j,
+    q = Hmax // (j g) is a smaller key, so the table, filled in increasing
+    v, holds it: about Hmax^(3/4) steps and 2 sqrt(Hmax) entries.
+    """
+    M = {}
+    for v, _, _ in reversed(list(_distinct_quotients(Hmax))):
+        M[v] = 1 - sum((hi - lo + 1) * M[q]
+                       for q, lo, hi in _distinct_quotients(v) if lo > 1)
+    return M
+
+
 def count_points(k, Hmax):
     """Exact number of points of P^k(Q) with exponential height <= Hmax.
 
     Mobius count of coprime tuples in the box [-Hmax, Hmax]^(k+1), halved
     for the sign identification: the sum over g <= Hmax of
     mu(g) ((2 (Hmax // g) + 1)^(k+1) - 1).  The g with one quotient
-    q = Hmax // g form a block, so the count takes one power per distinct
-    q, at most 2 sqrt(Hmax) of them, weighted by the sum of mu over the
-    block, read off the sieve in one pass.  Raises ResourceLimitError, before
-    the sieve is allocated, when Hmax exceeds COUNT_CAP, when the largest
-    power (2 Hmax + 1)^(k+1) has more than POWER_BITS_CAP bits, or when the
-    distinct powers have more than POWER_SUM_BITS_CAP bits together.
+    q = Hmax // g form a block [lo, hi], so the count takes one power per
+    distinct q, at most 2 sqrt(Hmax) of them, weighted by the sum of mu over
+    the block, M(hi) - M(lo - 1) from `_mertens_on_quotients` (hi and the
+    previous block's hi, lo - 1, are quotients; M(0) = 0).  Raises
+    ResourceLimitError, before the Mertens values, when Hmax exceeds
+    COUNT_CAP, when the largest power (2 Hmax + 1)^(k+1) has more than
+    POWER_BITS_CAP bits, or when the distinct powers have more than
+    POWER_SUM_BITS_CAP bits together.
     """
     if Hmax < 1:
         return 0
@@ -132,11 +132,10 @@ def count_points(k, Hmax):
         raise ResourceLimitError(
             bits, f"counting in P^{k} to H = {Hmax} takes powers of "
             f"{bits:.0f} bits together, beyond the cap {POWER_SUM_BITS_CAP}")
-    mu = iter(_mobius_sieve(Hmax))
-    next(mu)                      # the entry of g = 0
+    M = _mertens_on_quotients(Hmax)
     total = 0
-    for q, lo, hi in blocks:      # consecutive blocks of increasing g
-        weight = sum(islice(mu, hi - lo + 1))
+    for q, lo, hi in blocks:      # lo - 1 is the previous block's hi
+        weight = M[hi] - M.get(lo - 1, 0)
         if weight:
             total += weight * ((2 * q + 1) ** (k + 1) - 1)
     return total // 2
@@ -262,13 +261,8 @@ def veronese(x: ProjPointQ, d):
     """Veronese image of degree d; h(V_d(x)) = d h(x) exactly."""
     if d < 1:
         raise InvalidInputError("Veronese degree must be >= 1")
-    coords = []
-    for expo in _monomials(x.dim, d):
-        m = 1
-        for c, e in zip(x.coords, expo):
-            m *= c ** e
-        coords.append(m)
-    return ProjPointQ(coords)
+    return ProjPointQ([math.prod(c ** e for c, e in zip(x.coords, expo))
+                       for expo in _monomials(x.dim, d)])
 
 
 def linear_projection(x: ProjPointQ, m):

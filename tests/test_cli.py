@@ -525,6 +525,15 @@ class TestRejections:
         code, data = self.rejected(["mahler"], capsys)
         assert code == 2 and data["error"] == "UsageError"
 
+    @pytest.mark.parametrize("point", ["1:2:3", "1:2:3:4"])
+    def test_point_outside_p1(self, point, capsys):
+        # a rational map of P^1 takes points of P^1 only; both routes
+        for method in ("global", "local", "both"):
+            code, data = self.rejected(["canheight", "--map", Z2P1, "--point",
+                                        point, "--method", method], capsys)
+            assert code == 1 and data["error"] == "InvalidInputError"
+            assert f"of P^{point.count(':')}" in data["message"]
+
     def test_map_without_v(self, capsys):
         code, data = self.rejected(["canheight", "--map", '{"d":2,"U":[1,0,1]}',
                                     "--point", "0/1"], capsys)
@@ -552,7 +561,7 @@ class TestRejections:
     def test_power_beyond_the_bit_cap(self, capsys):
         # (2B + 1)^(k+1) would have about 242559 bits, and the count would
         # take a power as large for each of thousands of quotients B // g:
-        # refused before the sieve
+        # refused before the Mertens values at the quotient blocks
         start = time.monotonic()
         code, data = self.rejected(["schanuel", "--k", "10000", "--B", "1e7"],
                                    capsys)

@@ -101,6 +101,19 @@ class TestRationalMap:
         f = RationalMap.from_json({"d": 2, "U": [1, 0, 1], "V": [0, 0, 1]})
         assert f.to_json() == {"d": 2, "U": [1, 0, 1], "V": [0, 0, 1]}
 
+    @pytest.mark.parametrize("coords", [(3,), (1, 2, 3)],
+                             ids=["P^0", "P^2"])
+    @pytest.mark.parametrize("f", [POWER2, Z2P1], ids=["power", "z^2+1"])
+    def test_point_outside_p1_refused(self, f, coords):
+        # the power map's global route used to return log 3 with error 0
+        x = ProjPointQ(coords)
+        for call in (f.apply, lambda x: iterate(f, x),
+                     lambda x: canonical_height_global(f, x),
+                     lambda x: canonical_height_local(f, x)):
+            with pytest.raises(InvalidInputError,
+                               match=rf"P\^{len(coords) - 1}\b"):
+                call(x)
+
 
 class TestGoodReduction:
     def test_power_map_everywhere(self):

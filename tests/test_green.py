@@ -944,7 +944,41 @@ class TestEnergy:
             [(1, 1), (2, 2), (3, 1)])) == math.inf
 
 
+def ramanujan_sum(n, a):
+    """c_n(a) = sum over d | gcd(n, a) of mu(n / d) d."""
+    def mu(m):
+        out, p = 1, 2
+        while p * p <= m:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if m > 1 else out
+    g = math.gcd(n, a)
+    return sum(mu(n // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
 class TestBiluMoments:
+    def test_primitive_roots_of_any_order(self):
+        # the mean of z^a over the primitive n-th roots is c_n(a) / phi(n)
+        for n in range(1, 61):
+            nu = EmpiricalMeasure.primitive_roots_of_unity(n)
+            phi = sum(1 for k in range(n) if math.gcd(k, n) == 1)
+            assert len(nu) == phi
+            rep = bilu_moment_test(nu, range(1, 6))
+            for a in range(1, 6):
+                assert rep.moments[a] == pytest.approx(
+                    abs(ramanujan_sum(n, a)) / phi, abs=1e-13), (n, a)
+
+    def test_primitive_prime_roots_unchanged(self):
+        # for a prime p, every root but 1, from the same cmath.exp calls
+        for p in (2, 5, 11, 101):
+            nu = EmpiricalMeasure.primitive_roots_of_unity(p)
+            assert nu.points == EmpiricalMeasure(
+                [cmath.exp(2j * math.pi * k / p) for k in range(1, p)]).points
+
     def test_primitive_prime_first_moment(self):
         for p in (5, 11, 101):
             nu = EmpiricalMeasure.primitive_roots_of_unity(p)

@@ -3,8 +3,9 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from arithdyn.errors import (IndeterminacyError, InvalidInputError,
                              ResourceLimitError)
 from arithdyn.polyforms import BinaryForm, nullstellensatz_cofactors
-from arithdyn.projective import (HomForm, HomMorphism, ProjPointQ,
+from arithdyn.projective import (COUNT_CAP, HomForm, HomMorphism, ProjPointQ,
                                  apply_morphism, binary_constants,
                                  count_points, enumerate_points,
                                  functoriality_constants, height,
@@ -37,6 +38,26 @@ def brute_force_points(k, Hmax):
         if max(abs(c) for c in t) <= Hmax:
             seen.add(t)
     return seen
+
+
+def mobius_sieve(n):
+    """Oracle: mu(0..n) from a linear sieve, as count_points once read it."""
+    mu = [1] * (n + 1)
+    primes = []
+    comp = [False] * (n + 1)
+    for i in range(2, n + 1):
+        if not comp[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            if i * p > n:
+                break
+            comp[i * p] = True
+            if i % p == 0:
+                mu[i * p] = 0
+                break
+            mu[i * p] = -mu[i]
+    return mu
 
 
 def log_ceil(H):
@@ -170,20 +191,50 @@ class TestSchanuel:
         assert count_points(56000, 2) == (5 ** 56001 - 3 ** 56001) // 2
 
     def test_one_power_per_quotient(self):
-        # the sum over every g <= H, one power per g, as count_points took
-        # it before grouping g by H // g
-        from arithdyn.projective import _mobius_sieve
+        # the sum over every g <= H, one power per g, with mu from a sieve,
+        # as count_points took it before grouping g by H // g
         for H in range(0, 301):
-            mu = _mobius_sieve(H)
+            mu = mobius_sieve(H)
             for k in range(0, 4):
                 per_g = sum(mu[g] * ((2 * (H // g) + 1) ** (k + 1) - 1)
                             for g in range(1, H + 1)) // 2
                 assert count_points(k, H) == per_g, (k, H)
 
+    def test_mertens_values_at_the_quotients(self):
+        from arithdyn.projective import _mertens_on_quotients
+        M = list(accumulate(mobius_sieve(1000)[1:], initial=0))
+        for H in (1, 2, 3, 10, 99, 100, 720, 1000):
+            table = _mertens_on_quotients(H)
+            assert table == {H // g: M[H // g] for g in range(1, H + 1)}, H
+
+    def test_counts_at_large_heights(self):
+        # the values the sieve over every g <= H gave
+        assert count_points(1, 10 ** 6) == 1215854209568
+        assert count_points(2, 10 ** 6) == 3327633370313827777
+        assert count_points(1, 10 ** 7) == 121585425708968
+
+    def test_count_at_the_cap_is_fast(self):
+        # about H^(3/4) steps over the quotient blocks, where a pass over
+        # the H values of mu takes seconds
+        start = time.perf_counter()
+        count_points(1, COUNT_CAP)
+        assert time.perf_counter() - start < 1
+
+    def test_count_holds_no_table_of_h_entries(self):
+        # the Mertens table has 2 sqrt(H) entries; a list of 10^6 ints is
+        # 7.6 MiB alone
+        tracemalloc.start()
+        try:
+            count_points(1, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     def test_power_sum_bits_capped(self):
         # every power is below POWER_BITS_CAP, but the distinct ones hold
         # more than POWER_SUM_BITS_CAP bits together: refused before the
-        # sieve is allocated
+        # Mertens values at the quotient blocks are computed
         from arithdyn.projective import POWER_BITS_CAP, POWER_SUM_BITS_CAP
         for k, H in ((3000, 10 ** 6), (1000, 10 ** 7)):
             assert (k + 1) * math.log2(2 * H + 1) < POWER_BITS_CAP
